@@ -1,19 +1,16 @@
-//! What the host does to a run: peak memory, and CPU time the
-//! hypervisor steals from this machine.
+//! What the host gives a run: measured slices, one CPU where a
+//! workload asks for it, and peak memory.
 //!
-//! On a shared virtual machine a neighbour's load shows up as steal
-//! time: the guest's CPUs are runnable but not running. A second
-//! measured under heavy steal says more about the neighbour than about
-//! the program, so timed phases run in one-second slices, log each
-//! slice's steal, and run on until enough slices saw a quiet host.
+//! On a shared virtual machine a neighbour's load comes and goes over
+//! seconds and only ever slows a run down. Timed phases therefore run
+//! in one-second slices, interleaved so that each phase's slices spread
+//! over the whole run, and each metric takes the better quartile of its
+//! slices (see [`crate::stats::better_quartile`]).
 
 use std::time::Duration;
 
 /// Length of one measured slice.
 pub const SLICE: Duration = Duration::from_secs(1);
-
-/// Steal share below which a slice counts as quiet.
-const QUIET: f64 = 0.03;
 
 /// Peak resident set size of this process, in MB.
 pub fn peak_rss_mb() -> Result<f64, String> {
@@ -27,39 +24,23 @@ pub fn peak_rss_mb() -> Result<f64, String> {
     Ok(kb / 1024.0)
 }
 
-/// `(steal, total)` CPU ticks since boot, summed over every CPU.
-fn cpu_ticks() -> Option<(u64, u64)> {
-    let stat = std::fs::read_to_string("/proc/stat").ok()?;
-    let fields: Vec<u64> =
-        stat.lines().next()?.split_whitespace().skip(1).map_while(|f| f.parse().ok()).collect();
-    // user nice system idle iowait irq softirq steal [guest guest_nice]
-    let steal = *fields.get(7)?;
-    let total = fields.iter().take(8).sum();
-    Some((steal, total))
-}
-
-/// Runs `slice` (one [`SLICE`] of load each call) until `want` slices
-/// saw a quiet host or `2 × want` slices ran, and returns the indices
-/// of the `want` least-stolen slices, in order. Where the host does not
-/// report steal, every slice counts as quiet.
-pub fn quiet_slices<E>(
-    want: usize,
-    mut slice: impl FnMut() -> Result<(), E>,
-) -> Result<Vec<usize>, E> {
-    let mut shares: Vec<f64> = Vec::new();
-    while shares.iter().filter(|&&s| s < QUIET).count() < want && shares.len() < 2 * want {
-        let before = cpu_ticks();
-        slice()?;
-        shares.push(match (before, cpu_ticks()) {
-            (Some(a), Some(b)) if b.1 > a.1 => (b.0 - a.0) as f64 / (b.1 - a.1) as f64,
-            _ => 0.0,
-        });
+/// Restricts the calling thread, and every thread and process it
+/// starts from now on, to the CPU it is running on. Returns that CPU.
+pub fn pin_to_current_cpu() -> Result<usize, String> {
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
     }
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by(|&a, &b| shares[a].total_cmp(&shares[b]));
-    order.truncate(want);
-    order.sort_unstable();
-    let stolen: f64 = shares.iter().sum::<f64>() / shares.len().max(1) as f64;
-    println!("# {} slices run for {want}, mean host steal {:.1}%", shares.len(), 100.0 * stolen);
-    Ok(order)
+    // SAFETY: a glibc call with no arguments.
+    let cpu = usize::try_from(unsafe { sched_getcpu() }).map_err(|_| "sched_getcpu failed")?;
+    // A glibc `cpu_set_t`: 1,024 bits.
+    let mut mask = [0u64; 16];
+    *mask.get_mut(cpu / 64).ok_or("CPU index past the affinity mask")? |= 1 << (cpu % 64);
+    // SAFETY: `mask` is live for the call and `size` is its length in
+    // bytes; pid 0 is the calling thread.
+    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    if rc != 0 {
+        return Err(format!("sched_setaffinity: {}", std::io::Error::last_os_error()));
+    }
+    Ok(cpu)
 }

@@ -67,6 +67,11 @@ impl Audit {
         self.missing += other.missing;
     }
 
+    /// Operations served correctly by hardware over those attempted.
+    pub fn served_share(&self) -> f64 {
+        1.0 - self.failed as f64 / self.attempted.max(1) as f64
+    }
+
     /// Whether every output was correct and accounted for.
     pub fn correct(&self) -> bool {
         self.mismatched == 0 && self.missing == 0
@@ -74,12 +79,12 @@ impl Audit {
 }
 
 /// Set-ups per run: the run's own and the rest in fresh child
-/// processes. The jit workload makes two, as each pays a cold `rustc`
-/// build of about 20–27 s; the others take milliseconds, so seven give
-/// a steadier median.
+/// processes. The jit workload makes only its own, as each pays a cold
+/// `rustc` build of about 20–35 s; the others take milliseconds, so
+/// seven give a steadier median.
 fn setup_count(workload: &str) -> usize {
     if workload == serve_wl::TINY.name {
-        2
+        1
     } else {
         7
     }
@@ -240,8 +245,7 @@ fn run(args: &RunArgs) -> Res<(Values, Audit)> {
         }
         println!("# set-up times (s): {setups:?}");
         values.set("setup_s", stats::median(&setups).expect("set-ups"));
-        values
-            .set("failed_share", stats::failure_upper_bound(audit.failed, audit.attempted.max(1)));
+        values.set("served_share", audit.served_share());
         values.set("peak_rss_mb", host::peak_rss_mb()?);
     }
     Ok((values, audit))

@@ -1,6 +1,15 @@
 //! The partition workload: Design 5 cut into two shards on the compiled
 //! backend, one thread per shard, frames back to back with barrier
 //! snapshots, every frame audited against a single-engine run.
+//!
+//! The workload pins the process, and with it every shard thread, to
+//! one CPU. The shards run in lockstep and hand boundary values to each
+//! other every cycle, so a second CPU buys them little, while on a
+//! shared virtual machine each hand-off across CPUs waits for the
+//! hypervisor to wake the other one, a wait that swings from
+//! microseconds to milliseconds with the neighbours' load. Unpinned,
+//! ten runs of the same code on two virtual CPUs ranged from 13k to
+//! 41k cycles/s, with an interquartile range of 71% of the median.
 
 use std::time::Instant;
 
@@ -12,10 +21,10 @@ use dwt_partition::{
 use dwt_rtl::compile::CompiledEngine;
 
 use crate::gen::{derive, stimulus, tile_pool};
-use crate::host::{quiet_slices, SLICE};
+use crate::host::{pin_to_current_cpu, SLICE};
 use crate::layers;
 use crate::metrics::Values;
-use crate::stats::{beyond, chunked_percentile, median, rate};
+use crate::stats::{better_quartile, beyond, chunk_percentiles, median, rate};
 use crate::trace::Tracer;
 use crate::{Audit, Res, RunArgs};
 
@@ -52,72 +61,92 @@ struct FrameRun {
     committed: Vec<(u64, f64)>,
 }
 
-/// Throughput of the kept slices: cycles committed per second, the
-/// median over the slices.
+/// Throughput of `runs`: cycles committed per second, the better
+/// quartile over the slices.
 fn throughput(runs: &[FrameRun]) -> Res<f64> {
     let rates: Vec<f64> = runs.iter().filter_map(|r| rate(&r.committed)).collect();
-    median(&rates).ok_or_else(|| "too few frames".into())
+    better_quartile(&rates, true).ok_or_else(|| "too few frames".into())
 }
 
-/// Runs frames back to back for `secs`, auditing each against its
-/// reference.
-fn frames_for(
-    runner: &PartitionRunner<'_, Engine>,
-    stims: &[Stimulus],
-    refs: &[FrameOutputs],
-    secs: f64,
-    tr: &mut Tracer,
-    audit: &mut Audit,
-    barriers: &mut u64,
-) -> Res<FrameRun> {
-    let t1 = tr.now_ns() + (secs * 1e9) as u64;
-    let mut run = FrameRun { wall_ms: Vec::new(), committed: Vec::new() };
-    for i in 0.. {
-        let start = tr.now_ns();
-        if start >= t1 {
-            break;
+/// Percentile `q` of the frames' wall times (ms): the better quartile
+/// over chunks of consecutive frames.
+fn frame_latency_ms(runs: &[FrameRun], q: f64) -> Res<f64> {
+    let wall_ms: Vec<f64> = runs.iter().flat_map(|r| r.wall_ms.iter().copied()).collect();
+    let chunks = chunk_percentiles(&wall_ms, q, PER_CHUNK);
+    let per = wall_ms.len() / chunks.len().max(1);
+    println!(
+        "# {NAME}: p{q} over {} chunks of {per} frames, {} beyond it in each",
+        chunks.len(),
+        beyond(per, q)
+    );
+    better_quartile(&chunks, false).ok_or_else(|| "no frames".into())
+}
+
+/// Runs frames on the partitioned runner and audits each against its
+/// single-engine reference.
+struct Frames<'r, 'p> {
+    runner: &'r PartitionRunner<'p, Engine>,
+    stims: &'r [Stimulus],
+    refs: &'r [FrameOutputs],
+    audit: Audit,
+    /// Barriers of the last frame.
+    barriers: u64,
+}
+
+impl Frames<'_, '_> {
+    /// Runs frames back to back for `secs`.
+    fn run_for(&mut self, secs: f64, tr: &mut Tracer) -> Res<FrameRun> {
+        let t1 = tr.now_ns() + (secs * 1e9) as u64;
+        let mut run = FrameRun { wall_ms: Vec::new(), committed: Vec::new() };
+        for i in 0.. {
+            let start = tr.now_ns();
+            if start >= t1 {
+                break;
+            }
+            let k = i % self.stims.len();
+            let span = tr.begin("partition.run_frame", None, Some(i as u64));
+            let report = self
+                .runner
+                .run_frame(&self.stims[k], None, &ChaosPlan::default(), None)
+                .map_err(|e| e.to_string())?;
+            tr.end(span);
+            let end = tr.now_ns();
+            run.wall_ms.push((end - start) as f64 / 1e6);
+            let exact = report.outputs == self.refs[k];
+            let partitioned = report.rung == Rung::Partitioned;
+            self.audit.record(exact, partitioned);
+            if exact && partitioned {
+                run.committed.push((end, self.stims[k].cycles as f64));
+            }
+            self.barriers = report.barriers;
         }
-        let k = i % stims.len();
-        let span = tr.begin("partition.run_frame", None, Some(i as u64));
-        let report = runner
-            .run_frame(&stims[k], None, &ChaosPlan::default(), None)
-            .map_err(|e| e.to_string())?;
-        tr.end(span);
-        let end = tr.now_ns();
-        run.wall_ms.push((end - start) as f64 / 1e6);
-        let exact = report.outputs == refs[k];
-        let partitioned = report.rung == Rung::Partitioned;
-        audit.record(exact, partitioned);
-        if exact && partitioned {
-            run.committed.push((end, stims[k].cycles as f64));
-        }
-        *barriers = report.barriers;
+        Ok(run)
     }
-    Ok(run)
-}
 
-/// Frames back to back in one-second slices until `want` of them saw a
-/// quiet host; returns the slices kept.
-fn frame_phase(
-    runner: &PartitionRunner<'_, Engine>,
-    stims: &[Stimulus],
-    refs: &[FrameOutputs],
-    want: usize,
-    tr: &mut Tracer,
-    audit: &mut Audit,
-    barriers: &mut u64,
-) -> Res<Vec<FrameRun>> {
-    let mut runs = Vec::new();
-    let kept = quiet_slices(want, || {
-        runs.push(frames_for(runner, stims, refs, SLICE.as_secs_f64(), tr, audit, barriers)?);
-        Res::Ok(())
-    })?;
-    Ok(runs.into_iter().enumerate().filter(|(i, _)| kept.contains(i)).map(|(_, r)| r).collect())
+    /// One-second slices, `rounds` rounds of one slice per entry of
+    /// `traced` (whether that slice records spans). Returns each
+    /// entry's slices.
+    fn slices(
+        &mut self,
+        rounds: usize,
+        traced: &[bool],
+        tr: &mut Tracer,
+    ) -> Res<Vec<Vec<FrameRun>>> {
+        let mut runs: Vec<Vec<FrameRun>> = traced.iter().map(|_| Vec::new()).collect();
+        for _ in 0..rounds {
+            for (kind, &on) in traced.iter().enumerate() {
+                tr.set_on(on);
+                runs[kind].push(self.run_for(SLICE.as_secs_f64(), tr)?);
+            }
+        }
+        Ok(runs)
+    }
 }
 
 /// A set-up probe: build, cut, first partitioned frame. Returns the
 /// set-up time and whether that frame matched the single-engine run.
 pub fn probe_setup(seed: u64, start: Instant) -> Res<(f64, bool)> {
+    pin_to_current_cpu()?;
     let stim = stimulus(&frame_tiles(seed)[0]);
     let mut tr = Tracer::new(false, start);
     let (parts, report, setup_s) = setup(&stim, &mut tr, start)?;
@@ -145,6 +174,8 @@ fn setup(
 
 /// Runs the partition workload.
 pub fn run(args: &RunArgs, tr: &mut Tracer, values: &mut Values) -> Res<Audit> {
+    let cpu = pin_to_current_cpu()?;
+    println!("# {NAME}: pinned to CPU {cpu}");
     let tiles = frame_tiles(args.seed);
     let stims: Vec<Stimulus> = tiles.iter().map(|t| stimulus(t)).collect();
     let (parts, first, setup_s) = setup(&stims[0], tr, args.start)?;
@@ -153,35 +184,37 @@ pub fn run(args: &RunArgs, tr: &mut Tracer, values: &mut Values) -> Res<Audit> {
         .iter()
         .map(|s| run_single::<Engine>(&parts.original, s, None).map_err(|e| e.to_string()))
         .collect::<Res<_>>()?;
-    let mut audit = Audit::default();
-    audit.record(first.outputs == refs[0], true);
     let runner = PartitionRunner::<Engine>::new(&parts, runner_config());
-    let mut barriers = 0;
+    let mut frames = Frames {
+        runner: &runner,
+        stims: &stims,
+        refs: &refs,
+        audit: Audit::default(),
+        barriers: 0,
+    };
+    frames.audit.record(first.outputs == refs[0], true);
 
     tr.set_on(false);
-    frames_for(&runner, &stims, &refs, WARMUP_S, tr, &mut audit, &mut barriers)?;
-    let want = args.seconds as usize;
+    frames.run_for(WARMUP_S, tr)?;
     if !args.trace {
-        let runs = frame_phase(&runner, &stims, &refs, want, tr, &mut audit, &mut barriers)?;
-        let wall_ms: Vec<f64> = runs.iter().flat_map(|r| r.wall_ms.iter().copied()).collect();
-        let latency = |q| chunked_percentile(&wall_ms, q, PER_CHUNK).ok_or("no frames");
-        let ((p50, k), (p99, _)) = (latency(50.0)?, latency(99.0)?);
-        let per = wall_ms.len() / k;
-        println!(
-            "# {NAME}: latency over {k} chunks of {per} frames, {} beyond p99 in each",
-            beyond(per, 99.0)
-        );
+        let runs = frames.slices(args.seconds as usize, &[false], tr)?.remove(0);
         values.set("throughput_pairs_per_s", throughput(&runs)?);
-        values.set("latency_p50_ms", p50);
-        values.set("latency_p99_ms", p99);
+        let (p50, p99) = (frame_latency_ms(&runs, 50.0)?, frame_latency_ms(&runs, 99.0)?);
+        println!(
+            "# {NAME}: frame time p50 {p50:.6} ms, p99 {p99:.6} ms (no bound; see \
+             bench.latency_p50_ms and bench.latency_p99_ms)"
+        );
         values.set("setup_s", setup_s);
-        return Ok(audit);
+        return Ok(frames.audit);
     }
 
-    let half = want.div_ceil(2);
-    let base = frame_phase(&runner, &stims, &refs, half, tr, &mut audit, &mut barriers)?;
+    // Untraced and traced slices alternate: the untraced ones are the
+    // base for the tracing overhead.
+    let rounds = (args.seconds as usize).div_ceil(2);
+    let mut runs = frames.slices(rounds, &[false, true], tr)?;
+    let (traced, base) = (runs.pop().expect("traced"), runs.pop().expect("base"));
     tr.set_on(true);
-    let traced = frame_phase(&runner, &stims, &refs, half, tr, &mut audit, &mut barriers)?;
+    let (mut audit, barriers) = (frames.audit, frames.barriers);
     let frame_ms: Vec<f64> =
         tr.durations_ns("partition.run_frame").iter().map(|ns| ns / 1e6).collect();
     for (i, stim) in stims.iter().cycle().take(4 * FRAME_POOL).enumerate() {
@@ -206,6 +239,8 @@ pub fn run(args: &RunArgs, tr: &mut Tracer, values: &mut Values) -> Res<Audit> {
     values.set("partition.barriers", barriers as f64);
     values.set("bench.trace_overhead_share", 1.0 - throughput(&traced)? / throughput(&base)?);
     values.set("bench.generator_lag_ms_p99", 0.0);
+    values.set("bench.latency_p50_ms", frame_latency_ms(&traced, 50.0)?);
+    values.set("bench.latency_p99_ms", frame_latency_ms(&traced, 99.0)?);
 
     // arch and rtl on the frames' own stimulus length.
     layers::golden_layer(&tiles, tr, values);

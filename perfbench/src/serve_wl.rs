@@ -16,10 +16,10 @@ use dwt_serve::{
 };
 
 use crate::gen::{derive, poisson_due_ns, tile_pool};
-use crate::host::{quiet_slices, SLICE};
+use crate::host::SLICE;
 use crate::layers;
 use crate::metrics::Values;
-use crate::stats::{beyond, chunked_percentile, median, percentile, rate};
+use crate::stats::{better_quartile, beyond, chunk_percentiles, percentile, rate};
 use crate::trace::{SpanId, Tracer};
 use crate::{Audit, Res, RunArgs};
 
@@ -80,6 +80,30 @@ const QUEUE: usize = 1024;
 const PER_CHUNK: usize = 1000;
 /// How long outstanding responses may take once sending stops.
 const DRAIN: Duration = Duration::from_secs(60);
+
+/// One measured slice: the loop it runs, the phase its requests count
+/// towards, and whether spans are recorded.
+#[derive(Debug, Clone, Copy)]
+struct Slice {
+    phase: &'static str,
+    open: bool,
+    traced: bool,
+}
+
+/// The untraced run: open- and closed-loop slices alternate.
+const PLAIN: &[Slice] = &[
+    Slice { phase: "open", open: true, traced: false },
+    Slice { phase: "closed", open: false, traced: false },
+];
+
+/// The traced run: each round adds an untraced closed-loop slice, the
+/// base for the tracing overhead and the numerator of the kernel
+/// fraction.
+const TRACED: &[Slice] = &[
+    Slice { phase: "closed_base", open: false, traced: false },
+    Slice { phase: "open_traced", open: true, traced: true },
+    Slice { phase: "closed_traced", open: false, traced: true },
+];
 
 impl ServeSpec {
     fn chaos(&self, seed: u64) -> Option<ChaosConfig> {
@@ -268,45 +292,34 @@ where
         Ok((t0, end))
     }
 
-    /// Open-loop phase: one-second slices, each with its own Poisson
-    /// schedule, until `want` of them saw a quiet host. Returns the
-    /// windows of the slices kept.
-    fn open_phase(
+    /// Runs `rounds` rounds of `plan`, one slice per entry, so that
+    /// each phase's slices spread over the whole run. Returns each
+    /// phase's windows.
+    fn measure(
         &mut self,
         tr: &mut Tracer,
-        phase: &'static str,
-        rate: f64,
-        want: usize,
+        spec: &ServeSpec,
+        plan: &[Slice],
+        rounds: usize,
         seed: u64,
-    ) -> Res<Vec<(u64, u64)>> {
-        let mut windows = Vec::new();
-        let kept = quiet_slices(want, || {
-            let slice_seed = derive(seed, windows.len() as u64);
-            windows.push(self.open_loop(tr, phase, rate, SLICE_NS, slice_seed)?);
-            Res::Ok(())
-        })?;
-        Ok(kept.into_iter().map(|i| windows[i]).collect())
-    }
-
-    /// Closed-loop phase: one-second slices until `want` of them saw a
-    /// quiet host. Returns the windows of the slices kept.
-    fn closed_phase(
-        &mut self,
-        tr: &mut Tracer,
-        phase: &'static str,
-        in_flight: usize,
-        want: usize,
-    ) -> Res<Vec<(u64, u64)>> {
-        let mut windows = Vec::new();
-        let kept = quiet_slices(want, || {
-            windows.push(self.closed_loop(tr, phase, in_flight, SLICE_NS)?);
-            Res::Ok(())
-        })?;
-        Ok(kept.into_iter().map(|i| windows[i]).collect())
+    ) -> Res<HashMap<&'static str, Vec<(u64, u64)>>> {
+        let mut windows: HashMap<&'static str, Vec<(u64, u64)>> = HashMap::new();
+        for round in 0..rounds as u64 {
+            for slice in plan {
+                tr.set_on(slice.traced);
+                let window = if slice.open {
+                    self.open_loop(tr, slice.phase, spec.open_rate, SLICE_NS, derive(seed, round))?
+                } else {
+                    self.closed_loop(tr, slice.phase, spec.in_flight, SLICE_NS)?
+                };
+                windows.entry(slice.phase).or_default().push(window);
+            }
+        }
+        Ok(windows)
     }
 
     /// Closed-loop throughput: pairs of good responses per second, the
-    /// median over the kept windows.
+    /// better quartile over the windows.
     fn throughput(&self, phase: &str, windows: &[(u64, u64)]) -> Res<f64> {
         let rates: Vec<f64> = windows
             .iter()
@@ -320,19 +333,17 @@ where
                 rate(&events)
             })
             .collect();
-        median(&rates).ok_or_else(|| format!("{phase}: too few responses"))
+        better_quartile(&rates, true).ok_or_else(|| format!("{phase}: too few responses"))
     }
 
-    /// Percentile `q` of an open-loop phase's latencies (ms) in the kept
-    /// windows, timed from each request's due time, or as the server
-    /// saw it.
-    fn latency_ms(&self, phase: &str, windows: &[(u64, u64)], q: f64, server: bool) -> Res<f64> {
+    /// Percentile `q` of an open-loop phase's latencies (ms), timed from
+    /// each request's due time, or as the server saw it: the better
+    /// quartile over chunks of consecutive requests.
+    fn latency_ms(&self, phase: &str, q: f64, server: bool) -> Res<f64> {
         let mut timed: Vec<(u64, f64)> = self
             .records
             .iter()
-            .filter(|r| {
-                r.phase == phase && windows.iter().any(|w| (w.0..w.1).contains(&r.start_ns))
-            })
+            .filter(|r| r.phase == phase)
             .map(|r| {
                 let ns = if server { r.server_latency_ns } else { r.recv_ns - r.start_ns };
                 (r.start_ns, ns as f64 / 1e6)
@@ -340,13 +351,14 @@ where
             .collect();
         timed.sort_by_key(|t| t.0);
         let samples: Vec<f64> = timed.iter().map(|t| t.1).collect();
-        let (v, k) = chunked_percentile(&samples, q, PER_CHUNK).ok_or("no open-loop samples")?;
-        let per = samples.len() / k;
+        let chunks = chunk_percentiles(&samples, q, PER_CHUNK);
+        let per = samples.len() / chunks.len().max(1);
         println!(
-            "# {phase}: p{q} over {k} chunks of {per} samples, {} beyond it in each",
+            "# {phase}: p{q} over {} chunks of {per} samples, {} beyond it in each",
+            chunks.len(),
             beyond(per, q)
         );
-        Ok(v)
+        better_quartile(&chunks, false).ok_or_else(|| "no open-loop samples".into())
     }
 }
 
@@ -417,27 +429,24 @@ where
 
     tr.set_on(false);
     client.closed_loop(tr, "warmup", spec.in_flight, WARMUP_NS)?;
-    let want = (args.seconds as usize).div_ceil(2);
-    let (open_phase, closed_phase);
-    let mut base = Vec::new();
-    if args.trace {
-        // Untraced closed loop first: the base for the tracing overhead
-        // and the numerator of the kernel fraction.
-        base = client.closed_phase(tr, "closed_base", spec.in_flight, want)?;
-        tr.set_on(true);
-        (open_phase, closed_phase) = ("open_traced", "closed_traced");
-    } else {
-        (open_phase, closed_phase) = ("open", "closed");
-    }
-    let open = client.open_phase(tr, open_phase, spec.open_rate, want, derive(args.seed, 6))?;
-    let closed = client.closed_phase(tr, closed_phase, spec.in_flight, want)?;
+    let plan = if args.trace { TRACED } else { PLAIN };
+    let rounds = (args.seconds as usize).div_ceil(2);
+    let windows = client.measure(tr, spec, plan, rounds, derive(args.seed, 6))?;
+    tr.set_on(args.trace);
     println!("# {}: {} requests in all", spec.name, client.records.len());
-    let throughput = client.throughput(closed_phase, &closed)?;
+    let closed_phase = if args.trace { "closed_traced" } else { "closed" };
+    let open_phase = if args.trace { "open_traced" } else { "open" };
+    let throughput = client.throughput(closed_phase, &windows[closed_phase])?;
 
     if !args.trace {
         values.set("throughput_pairs_per_s", throughput);
-        values.set("latency_p50_ms", client.latency_ms(open_phase, &open, 50.0, false)?);
-        values.set("latency_p99_ms", client.latency_ms(open_phase, &open, 99.0, false)?);
+        let p50 = client.latency_ms(open_phase, 50.0, false)?;
+        let p99 = client.latency_ms(open_phase, 99.0, false)?;
+        println!(
+            "# {}: open-loop latency p50 {p50:.6} ms, p99 {p99:.6} ms (no bound; see \
+             bench.latency_p50_ms and bench.latency_p99_ms)",
+            spec.name
+        );
         values.set("setup_s", setup_s);
         let stats = client.server.shutdown();
         println!("# {}: server counters {:?}", spec.name, stats.counters);
@@ -445,7 +454,7 @@ where
     }
 
     // serve, from the calls into it and its own counters.
-    let base = client.throughput("closed_base", &base)?;
+    let base = client.throughput("closed_base", &windows["closed_base"])?;
     let submit_us: Vec<f64> = tr.durations_ns("serve.submit").iter().map(|ns| ns / 1e3).collect();
     let n = client.records.len() as f64;
     let share = |f: &dyn Fn(&ServedBy) -> bool| {
@@ -455,7 +464,9 @@ where
     values.set("serve.start_s", tr.durations_ns("serve.start")[0] / 1e9);
     values.set("serve.submit_us_p50", percentile(&submit_us, 50.0).ok_or("no submits")?);
     values.set("serve.submit_us_p99", percentile(&submit_us, 99.0).ok_or("no submits")?);
-    values.set("serve.server_latency_ms_p99", client.latency_ms(open_phase, &open, 99.0, true)?);
+    values.set("serve.server_latency_ms_p99", client.latency_ms(open_phase, 99.0, true)?);
+    values.set("bench.latency_p50_ms", client.latency_ms(open_phase, 50.0, false)?);
+    values.set("bench.latency_p99_ms", client.latency_ms(open_phase, 99.0, false)?);
     values.set("serve.rung_replay_share", share(&rung_is(Rung::Replay)));
     values.set("serve.rung_tmr_share", share(&rung_is(Rung::Tmr)));
     values.set("serve.golden_share", share(&|s| !s.hardware_served()));

@@ -1,4 +1,4 @@
-//! Order statistics and the failure-share bound.
+//! Order statistics.
 
 /// Nearest-rank percentile: the smallest sample such that at least
 /// `q` percent of the samples are at or below it. `None` when empty.
@@ -39,52 +39,24 @@ pub fn rate(events: &[(u64, f64)]) -> Option<f64> {
         .then(|| events[1..].iter().map(|e| e.1).sum::<f64>() / ((last.0 - first.0) as f64 / 1e9))
 }
 
-/// Percentile `q` of consecutive chunks of `samples`, as many chunks as
-/// keep `per` samples in each (at least one), and the median over the
-/// chunks. Returns the value and the number of chunks.
-pub fn chunked_percentile(samples: &[f64], q: f64, per: usize) -> Option<(f64, usize)> {
+/// Percentile `q` of each of the consecutive chunks of `samples`, as
+/// many chunks as keep at least `per` samples in each (one chunk when
+/// there are fewer).
+pub fn chunk_percentiles(samples: &[f64], q: f64, per: usize) -> Vec<f64> {
     let k = (samples.len() / per).max(1);
     let size = samples.len().div_ceil(k).max(1);
-    let per_chunk: Vec<f64> = samples.chunks(size).filter_map(|c| percentile(c, q)).collect();
-    Some((median(&per_chunk)?, per_chunk.len()))
+    samples.chunks(size).filter_map(|c| percentile(c, q)).collect()
 }
 
-/// Exact (Clopper–Pearson) one-sided 95% upper confidence bound on a
-/// failure probability after `failed` failures in `attempted` trials.
+/// The quartile of per-slice `values` on the better side: the upper
+/// quartile when higher is better, the lower one otherwise.
 ///
-/// The benchmark reports the failed share as this bound so that a clean
-/// run reads about `3 / attempted` rather than exactly 0, while any real
-/// failure rate still dominates it.
-pub fn failure_upper_bound(failed: u64, attempted: u64) -> f64 {
-    assert!(attempted > 0 && failed <= attempted, "{failed} failed of {attempted}");
-    if failed == attempted {
-        return 1.0;
-    }
-    // P(X <= failed | attempted, p) falls as p rises; bisect for 0.05.
-    let (mut lo, mut hi) = (failed as f64 / attempted as f64, 1.0);
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if binomial_cdf(failed, attempted, mid) > 0.05 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
-}
-
-/// P(X <= k) for X ~ Binomial(n, p), summed in log space.
-fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
-    let (lp, lq) = (p.ln(), (1.0 - p).ln());
-    let mut log_choose = 0.0f64;
-    let mut sum = 0.0;
-    for i in 0..=k {
-        if i > 0 {
-            log_choose += ((n - i + 1) as f64).ln() - (i as f64).ln();
-        }
-        sum += (log_choose + i as f64 * lp + (n - i) as f64 * lq).exp();
-    }
-    sum.min(1.0)
+/// A neighbour on a shared host only ever slows a slice down, and its
+/// load comes and goes over seconds, so the better quartile tracks the
+/// program on a quiet host more steadily than the median does, while a
+/// single lucky slice still cannot set it.
+pub fn better_quartile(values: &[f64], higher_is_better: bool) -> Option<f64> {
+    percentile(values, if higher_is_better { 75.0 } else { 25.0 })
 }
 
 #[cfg(test)]
@@ -146,28 +118,22 @@ mod tests {
     }
 
     #[test]
-    fn chunked_percentiles_shrug_off_one_bad_chunk() {
-        // Two chunks of 1000; a single huge outlier lands in the first.
-        let lat: Vec<f64> =
-            (0..2000).map(|i| if i == 10 { 1e6 } else { (i % 100) as f64 }).collect();
-        let (p99, k) = chunked_percentile(&lat, 99.0, 1000).unwrap();
-        assert_eq!(k, 2);
-        assert_eq!(p99, 98.0);
+    fn chunks_keep_at_least_per_samples() {
+        let lat: Vec<f64> = (0..2000).map(|i| (i % 100) as f64).collect();
+        let chunks = chunk_percentiles(&lat, 99.0, 1000);
+        assert_eq!(chunks, vec![98.0, 98.0]);
         // Fewer samples than a chunk: one chunk over all of them.
-        assert_eq!(chunked_percentile(&lat[..500], 100.0, 1000), Some((1e6, 1)));
-        assert_eq!(chunked_percentile(&[], 99.0, 1000), None);
+        assert_eq!(chunk_percentiles(&lat[..500], 100.0, 1000), vec![99.0]);
+        assert!(chunk_percentiles(&[], 99.0, 1000).is_empty());
     }
 
     #[test]
-    fn failure_bound_follows_the_rule_of_three_and_covers_the_rate() {
-        // Zero failures: 1 - 0.05^(1/n), about 3/n.
-        for n in [10u64, 100, 10_000] {
-            let exact = 1.0 - 0.05f64.powf(1.0 / n as f64);
-            assert!((failure_upper_bound(0, n) - exact).abs() < 1e-9, "n={n}");
-        }
-        let b = failure_upper_bound(10, 1000);
-        assert!(b > 0.01 && b < 0.02, "{b}");
-        assert_eq!(failure_upper_bound(5, 5), 1.0);
-        assert!(failure_upper_bound(1, 1000) > failure_upper_bound(0, 1000));
+    fn the_better_quartile_ignores_slow_slices_and_one_lucky_one() {
+        // Three slices slowed by a neighbour, one lucky, four typical.
+        let rates = [100.0, 101.0, 99.0, 60.0, 55.0, 70.0, 140.0, 100.0];
+        assert_eq!(better_quartile(&rates, true), Some(100.0));
+        let ms: Vec<f64> = rates.iter().map(|r| 1e3 / r).collect();
+        assert_eq!(better_quartile(&ms, false), Some(1e3 / 101.0));
+        assert_eq!(better_quartile(&[], true), None);
     }
 }
