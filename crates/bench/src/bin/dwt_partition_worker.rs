@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use dwt_arch::designs::Design;
 use dwt_bench::campaign::{flag_value, parse_design, unknown_flag, CampaignArgs, UsageError};
 use dwt_partition::{partition, run_worker, CutOptions, SocketTransport, WorkerConfig, WorkerSpec};
-use dwt_rtl::engine::{Backend, BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{Backend, BackendRunner, Engine};
 
 struct WorkerArgs {
     design: Design,
@@ -77,7 +77,7 @@ impl BackendRunner for Worker<'_> {
     fn run<E>(self) -> Self::Output
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send + 'static,
+        E::Snapshot: Send + 'static,
     {
         run_worker::<E, _>(self.spec, self.transport, self.config)
     }

@@ -27,7 +27,7 @@ use dwt_bench::campaign::{
     campaign_json, flag_value, run_campaign, unknown_flag, CampaignArgs, CampaignConfig, Outcome,
     UsageError,
 };
-use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{BackendRunner, Engine};
 
 fn parse_cfg(shared: &CampaignArgs) -> Result<CampaignConfig, UsageError> {
     let mut cfg = CampaignConfig::default();
@@ -132,7 +132,7 @@ impl BackendRunner for Campaign {
     fn run<E>(self)
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send,
+        E::Snapshot: Send,
     {
         run::<E>(&self.shared, &self.cfg);
     }

@@ -66,7 +66,7 @@ use dwt_partition::{
     PartitionedNetlist, ProcChaos, ProcConfig, ProcSupervisor, Rung, RunnerConfig, SeuChaos,
     Stimulus, WorkerLauncher,
 };
-use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{BackendRunner, Engine};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isolation {
@@ -642,7 +642,7 @@ impl BackendRunner for Campaign {
     fn run<E>(self)
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send + 'static,
+        E::Snapshot: Send + 'static,
     {
         run::<E>(&self.shared, &self.cfg);
     }

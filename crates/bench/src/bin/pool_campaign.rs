@@ -36,7 +36,7 @@ use dwt_bench::pool::{
     total_sdc_escapes, PoolCampaignConfig,
 };
 use dwt_pool::chaos::{BurstConfig, SlowLaneSpec, StuckLaneSpec};
-use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{BackendRunner, Engine};
 
 fn parse_cfg(shared: &CampaignArgs) -> Result<PoolCampaignConfig, UsageError> {
     let mut cfg = PoolCampaignConfig::default();
@@ -163,7 +163,7 @@ impl BackendRunner for Campaign {
     fn run<E>(self)
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send,
+        E::Snapshot: Send,
     {
         run::<E>(&self.shared, &self.cfg);
     }

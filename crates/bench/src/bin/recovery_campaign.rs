@@ -27,7 +27,7 @@ use dwt_bench::recovery::{
     recovery_json, recovery_markdown, run_recovery_campaign, total_sdc_escapes,
     RecoveryCampaignConfig,
 };
-use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{BackendRunner, Engine};
 
 fn parse_cfg(shared: &CampaignArgs) -> Result<RecoveryCampaignConfig, UsageError> {
     let mut cfg = RecoveryCampaignConfig::default();
@@ -96,7 +96,7 @@ impl BackendRunner for Campaign {
     fn run<E>(self)
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send,
+        E::Snapshot: Send,
     {
         run::<E>(&self.shared, &self.cfg);
     }

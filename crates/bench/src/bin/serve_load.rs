@@ -37,7 +37,7 @@ use dwt_bench::serve::{
     serve_worker_markdown, total_sdc_escapes, ServeCampaignConfig,
 };
 use dwt_pool::chaos::{SlowLaneSpec, StuckLaneSpec};
-use dwt_rtl::engine::{BackendRunner, Engine, PortableSnapshot};
+use dwt_rtl::engine::{BackendRunner, Engine};
 use dwt_serve::OverloadPolicy;
 
 fn parse_cfg(shared: &CampaignArgs) -> Result<ServeCampaignConfig, UsageError> {
@@ -174,7 +174,7 @@ impl BackendRunner for Campaign {
     fn run<E>(self)
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send,
+        E::Snapshot: Send,
     {
         run::<E>(&self.shared, &self.cfg);
     }

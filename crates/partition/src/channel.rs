@@ -106,10 +106,6 @@ pub enum LinkFault {
         /// The one that arrived.
         got: u64,
     },
-    /// The producer's channel disconnected (worker crashed).
-    Disconnected,
-    /// No message within the watchdog window (worker straggling).
-    Timeout,
 }
 
 impl fmt::Display for LinkFault {
@@ -119,8 +115,6 @@ impl fmt::Display for LinkFault {
             LinkFault::Sequence { expected, got } => {
                 write!(f, "sequence gap: expected {expected}, got {got}")
             }
-            LinkFault::Disconnected => write!(f, "producer disconnected"),
-            LinkFault::Timeout => write!(f, "watchdog timeout"),
         }
     }
 }

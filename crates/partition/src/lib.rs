@@ -15,13 +15,20 @@
 //!    exchange round per cycle suffices. [`stitch`] is the exact
 //!    inverse, reassembling the original netlist — dwt-equiv proves
 //!    `stitch(partition(n)) ≡ n` as a standing obligation.
-//! 2. [`channel`] — the sequence-numbered, checksummed wire format
-//!    plus per-link running hashes for barrier crosschecks.
-//! 3. [`runner`] — the multi-threaded [`PartitionRunner`]: one
-//!    [`Engine`] per worker, lockstep boundary exchange, barrier-
-//!    consistent snapshots every N cycles, divergence/straggler/crash
-//!    detection, and recovery by restart-from-snapshot + replay. When
-//!    the recovery budget is exhausted the runner degrades to a
+//! 2. [`channel`] and [`wire`] — the sequence-numbered, checksummed
+//!    boundary messages with per-link hashes for barrier crosschecks,
+//!    and the framed byte protocol every worker speaks.
+//! 3. [`proc`] — the one supervisor and its workers: each worker runs
+//!    [`run_worker`], one [`Engine`] stepping virtual cycles in
+//!    lockstep with its peers; the supervisor hands out batches,
+//!    checks every barrier (link hashes, plus an oracle when given),
+//!    and recovers by generation-tagged rollback, respawn and replay.
+//!    [`ProcSupervisor`] runs the workers as OS processes behind Unix
+//!    sockets, with a durable barrier [`store`].
+//! 4. [`runner`] — [`PartitionRunner`] runs the same workers on one
+//!    thread per shard, their boundary values going straight from
+//!    producer to consumer over the in-process links of [`transport`].
+//!    When the recovery budget is exhausted the runner degrades to a
 //!    single-engine run, then to a caller-supplied software-golden
 //!    fallback, before giving up with a typed error.
 //!

@@ -1,40 +1,45 @@
-//! Process-isolated partitioned emulation: a supervisor that forks one
-//! OS process per shard and drives the same four-phase lockstep the
-//! thread-mode runner uses, over Unix-domain sockets.
+//! The partition supervisor and its workers: one protocol, two
+//! isolations.
 //!
-//! Thread-mode fault tolerance shares an address space: a worker that
-//! corrupts memory or wedges inside native code can take the whole
-//! emulation down with it. Real emulator farms put every shard behind a
-//! process (or machine) boundary, and so does this module:
-//!
-//! * **Workers** ([`run_worker`]) rebuild their shard independently,
-//!   announce themselves with a [`Frame::Hello`] carrying the cut
-//!   [`fingerprint`](PartitionedNetlist::fingerprint) (admission
-//!   control: a worker launched against the wrong design or part count
-//!   is rejected before it can pollute the run), and then speak the
-//!   framed wire protocol: batches in, boundary values and barrier
-//!   reports out, heartbeats while executing.
-//! * **The supervisor** ([`ProcSupervisor`]) is a hub: it routes every
-//!   boundary frame from producer to consumer (rewriting the link
-//!   index from the producer's outgoing numbering to the consumer's
-//!   incoming numbering), polices per-worker liveness on a
-//!   [`Clock`]-driven deadline, and commits a barrier only when every
-//!   report arrived and both ends of every link hash identically.
-//! * **Recovery** is generation-tagged rollback. Any crash (SIGKILL,
-//!   socket close), stall (silence past the liveness window), protocol
-//!   violation, or hash mismatch aborts the batch: the supervisor bumps
-//!   the generation, respawns dead workers, restores everyone from the
-//!   last consistent barrier — the durable [`RunStore`] when
-//!   configured, the in-memory barrier otherwise — and replays. Both
-//!   ends drop frames tagged with older generations, so a stale
-//!   in-flight boundary value can never alias its replayed successor.
+//! * **Workers** ([`run_worker`]) rebuild their shard, announce
+//!   themselves with a [`Frame::Hello`] carrying the cut
+//!   [`fingerprint`](PartitionedNetlist::fingerprint), and then speak
+//!   the framed wire protocol: batches in, boundary values and barrier
+//!   reports out, heartbeats while executing. Virtual cycle `k` is a
+//!   fixed four-phase step: stage the primary inputs, tick, send the
+//!   `__cut` outputs on every out-link, then receive, verify (sequence
+//!   and checksum), stage and settle every in-link. All sends precede
+//!   all receives, so cyclic shard graphs cannot deadlock. A prologue
+//!   exchange before the first tick hands out the power-on boundary
+//!   values.
+//! * **The supervisor** hands out batches of `snapshot_interval`
+//!   cycles and commits a barrier only when every report arrived, both
+//!   ends of every link hash identically, and — when an oracle is
+//!   supplied — the outputs match it. It polices per-worker liveness
+//!   on a [`Clock`]-driven deadline.
+//! * **Recovery** is generation-tagged rollback. Any crash, stall,
+//!   protocol violation, checksum or sequence fault, hash or oracle
+//!   mismatch aborts the batch: the supervisor bumps the generation,
+//!   respawns dead workers, restores everyone from the last
+//!   consistent barrier — the durable [`RunStore`] when configured,
+//!   the in-memory barrier otherwise — and replays. Both ends drop
+//!   frames tagged with older generations, so a stale in-flight
+//!   boundary value can never alias its replayed successor.
+//! * **Isolation** is a `Fleet`. [`ProcSupervisor`] forks one
+//!   `dwt_partition_worker` OS process per shard and is a hub: boundary
+//!   frames come to it over Unix-domain sockets and it forwards them,
+//!   rewriting the link index from the producer's numbering to the
+//!   consumer's. [`PartitionRunner`](crate::runner::PartitionRunner)
+//!   runs the same [`run_worker`] loop on one thread per shard, whose
+//!   links carry boundary values straight to the consumer (see
+//!   [`transport`](crate::transport) for why).
 //! * **Durability**: with a store configured, every committed barrier
 //!   is written via tmp-file + fsync + atomic rename. A supervisor that
 //!   is itself killed can be restarted with [`ProcConfig::resume`] and
 //!   continues from the newest consistent barrier instead of cycle 0; a
 //!   torn record (crash mid-write) costs exactly one barrier of replay.
 //!
-//! Engine snapshots cross the socket as
+//! Engine snapshots cross to the supervisor as
 //! [`PortableSnapshot`] bytes — backend-tagged and versioned, so a
 //! worker restoring on the wrong backend fails loudly, not silently.
 
@@ -49,6 +54,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dwt_pool::clock::{Clock, Deadline, MonotonicClock};
+use dwt_recover::injector::{FaultInjector, Lane};
+use dwt_recover::seu::PoissonSeuBuilder;
 use dwt_rtl::engine::{Engine, PortableSnapshot};
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
@@ -56,9 +63,9 @@ use dwt_rtl::netlist::Netlist;
 use crate::channel::{hash_seed, BoundaryMsg, LinkFault};
 use crate::cut::PartitionedNetlist;
 use crate::error::PartitionError;
-use crate::runner::{check_stimulus, rebase, Detection, DetectionKind, FrameOutputs, Stimulus};
+use crate::runner::{check_stimulus, ChaosPlan, Detection, DetectionKind, FrameOutputs, Stimulus};
 use crate::store::{BarrierRecord, RunStore, WorkerBlob};
-use crate::transport::{RecvError, SocketTransport, Transport};
+use crate::transport::{Event, LinkChaos, RecvError, SocketTransport, Transport};
 use crate::wire::Frame;
 
 fn transport_err(detail: impl Into<String>) -> PartitionError {
@@ -194,11 +201,7 @@ struct ProcWorker<'a, E: Engine> {
     generation: u64,
 }
 
-impl<'a, E> ProcWorker<'a, E>
-where
-    E: Engine,
-    E::Snapshot: PortableSnapshot,
-{
+impl<'a, E: Engine> ProcWorker<'a, E> {
     fn fresh_engine(spec: &WorkerSpec, config: &WorkerConfig) -> Result<E, PartitionError> {
         let mut engine = E::from_netlist(spec.netlist.clone())?;
         if let Some(cap) = config.event_cap {
@@ -288,7 +291,7 @@ where
         if let Err(fault) = msg.verify(self.inn[li].seq) {
             return Staged::Fault(match fault {
                 LinkFault::Sequence { .. } => DetectionKind::Sequence,
-                _ => DetectionKind::Checksum,
+                LinkFault::Checksum { .. } => DetectionKind::Checksum,
             });
         }
         let side = &mut self.inn[li];
@@ -371,7 +374,7 @@ where
             }
             for (due, spec) in faults {
                 if *due == offset {
-                    let rebased = rebase(spec.clone(), self.engine.cycle());
+                    let rebased = spec.clone().rebase(self.engine.cycle());
                     if let Err(e) = self.engine.inject(&rebased) {
                         return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
                     }
@@ -421,10 +424,10 @@ where
     }
 }
 
-/// The worker process's protocol loop: announce, then serve batches
-/// and rollbacks until shutdown. Generic over the engine backend and
-/// the transport (the in-crate tests drive it over channels; the
-/// `dwt_partition_worker` binary runs it over a socket).
+/// The worker's protocol loop: announce, then serve batches and
+/// rollbacks until shutdown. Generic over the engine backend and the
+/// transport: the `dwt_partition_worker` binary runs it over a socket,
+/// thread isolation over an in-process link.
 ///
 /// Returns `Ok(())` on a clean shutdown **or** when the supervisor
 /// disappears while the worker is idle — a dead supervisor is not a
@@ -442,7 +445,6 @@ pub fn run_worker<E, T>(
 ) -> Result<(), PartitionError>
 where
     E: Engine,
-    E::Snapshot: PortableSnapshot,
     T: Transport,
 {
     let mut worker = ProcWorker::<E>::new(spec, config)?;
@@ -476,6 +478,13 @@ where
                 {
                     BatchOutcome::Reported | BatchOutcome::Faulted => {}
                     BatchOutcome::Control(frame) => pending = Some(frame),
+                }
+            }
+            // Under thread isolation a producer can hand a value over
+            // before this worker reads its own batch frame: keep it.
+            Frame::Boundary { generation, link, msg } if generation == worker.generation => {
+                if let Some(side) = worker.inn.get_mut(link as usize) {
+                    side.queue.push_back(msg);
                 }
             }
             // Stale boundary values (pre-rollback) or frames outside
@@ -612,41 +621,222 @@ pub struct ProcReport {
     pub completed: bool,
 }
 
-enum Event {
-    Frame { worker: usize, conn: u64, frame: Frame },
-    Closed { worker: usize, conn: u64 },
-    Malformed { worker: usize, conn: u64 },
+/// How the supervisor's workers are isolated: OS processes behind
+/// sockets ([`Processes`]) or threads behind in-process links (the
+/// thread fleet in [`runner`](crate::runner)). The [`Supervisor`] loop
+/// on top is the same for both.
+pub(crate) trait Fleet {
+    /// Starts worker `w`. Its frames reach the supervisor on `events`,
+    /// tagged with `conn`.
+    fn spawn(&mut self, w: usize, conn: u64, events: &Sender<Event>) -> Result<(), PartitionError>;
+    /// Sends worker `w` one frame.
+    fn send(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError>;
+    /// Arms worker `w`'s chaos for the batch about to be handed out.
+    fn arm(&mut self, w: usize, chaos: LinkChaos);
+    /// Worker `w`'s heartbeat reached the supervisor. Returns whether
+    /// an armed kill struck it there.
+    fn heartbeat(&mut self, _w: usize, _cycle: u64) -> bool {
+        false
+    }
+    /// Stops and reaps worker `w` (idempotent).
+    fn kill(&mut self, w: usize);
+    /// Stops every worker and releases the fleet.
+    fn shutdown(&mut self);
 }
 
 struct WorkerProc {
     child: Child,
     writer: SocketTransport,
-    /// Connection id; events from an older connection of a respawned
-    /// worker are dropped by tag.
-    conn: u64,
-    alive: bool,
-    /// Clock tick of the last frame seen from this worker.
-    last_seen: u64,
     reader: Option<JoinHandle<()>>,
-}
-
-struct Report {
-    outputs: Vec<Vec<i64>>,
-    out_hashes: Vec<u64>,
-    in_hashes: Vec<u64>,
-    snapshot: Vec<u8>,
-}
-
-/// Where a rollback restores from.
-enum Target {
-    Durable(BarrierRecord),
-    Memory(Vec<Vec<u8>>),
-    PowerOn,
 }
 
 /// Distinguishes successive supervisor runs in one process when the
 /// caller does not pin [`ProcConfig::sock_dir`].
 static SOCK_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Process isolation: one `dwt_partition_worker`-style OS process per
+/// shard, admitted by its Hello, read by a reader thread per socket.
+struct Processes<'a> {
+    launcher: &'a WorkerLauncher,
+    config: &'a ProcConfig,
+    fingerprint: u64,
+    sock_dir: PathBuf,
+    listeners: Vec<UnixListener>,
+    procs: Vec<Option<WorkerProc>>,
+    /// Armed kill cycle per worker: SIGKILL when its heartbeat gets
+    /// there.
+    kill_at: Vec<Option<u64>>,
+}
+
+impl<'a> Processes<'a> {
+    fn new(
+        parts: &PartitionedNetlist,
+        launcher: &'a WorkerLauncher,
+        config: &'a ProcConfig,
+    ) -> Result<Self, PartitionError> {
+        let sock_dir = config.sock_dir.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join(format!(
+                "dwt-proc-{}-{}",
+                std::process::id(),
+                SOCK_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+            ))
+        });
+        std::fs::create_dir_all(&sock_dir).map_err(|e| spawn_err(format!("socket dir: {e}")))?;
+        let n = parts.parts();
+        let mut listeners = Vec::with_capacity(n);
+        for w in 0..n {
+            let path = sock_dir.join(format!("worker-{w}.sock"));
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path)
+                .map_err(|e| spawn_err(format!("bind {}: {e}", path.display())))?;
+            listener
+                .set_nonblocking(true)
+                .map_err(|e| spawn_err(format!("nonblocking listener: {e}")))?;
+            listeners.push(listener);
+        }
+        Ok(Processes {
+            launcher,
+            config,
+            fingerprint: parts.fingerprint(),
+            sock_dir,
+            listeners,
+            procs: (0..n).map(|_| None).collect(),
+            kill_at: vec![None; n],
+        })
+    }
+}
+
+impl Fleet for Processes<'_> {
+    /// Spawns worker `w`'s process, accepts its connection, verifies
+    /// its Hello, and starts its reader thread.
+    fn spawn(&mut self, w: usize, conn: u64, events: &Sender<Event>) -> Result<(), PartitionError> {
+        let path = self.sock_dir.join(format!("worker-{w}.sock"));
+        let mut child = Command::new(&self.launcher.program)
+            .args(&self.launcher.args)
+            .arg("--shard")
+            .arg(w.to_string())
+            .arg("--socket")
+            .arg(&path)
+            .spawn()
+            .map_err(|e| spawn_err(format!("worker {w}: {e}")))?;
+        let refuse = |child: &mut Child, detail: String| {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(spawn_err(detail))
+        };
+        // Non-blocking accept under a wall-clock budget: process
+        // startup plus engine build can be slow in debug builds.
+        let deadline = Instant::now() + self.config.hello_timeout;
+        let stream = loop {
+            match self.listeners[w].accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return refuse(&mut child, format!("worker {w}: no connection in time"));
+                    }
+                    if let Ok(Some(status)) = child.try_wait() {
+                        return Err(spawn_err(format!("worker {w} exited at launch: {status}")));
+                    }
+                    thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => return refuse(&mut child, format!("worker {w} accept: {e}")),
+            }
+        };
+        let _ = stream.set_nonblocking(false);
+        // A wedged worker must not block the hub's writes forever.
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let writer_stream =
+            stream.try_clone().map_err(|e| spawn_err(format!("worker {w} clone: {e}")))?;
+        let mut reader = SocketTransport::new(stream);
+        // Admission: the worker proves it rebuilt the same cut. Read
+        // the Hello synchronously so the reader thread starts with a
+        // clean stream position.
+        match reader.recv_timeout(self.config.hello_timeout) {
+            Ok(Frame::Hello { worker, fingerprint })
+                if worker as usize == w && fingerprint == self.fingerprint => {}
+            Ok(Frame::Hello { fingerprint, .. }) => {
+                return refuse(
+                    &mut child,
+                    format!(
+                        "worker {w} admission refused: fingerprint {fingerprint:#x} != {:#x}",
+                        self.fingerprint
+                    ),
+                );
+            }
+            Ok(other) => {
+                return refuse(&mut child, format!("worker {w} sent {other:?} instead of Hello"))
+            }
+            Err(e) => return refuse(&mut child, format!("worker {w} hello: {e}")),
+        }
+        let tx = events.clone();
+        let handle = thread::Builder::new()
+            .name(format!("dwt-proc-reader-{w}"))
+            .spawn(move || reader_main(w, conn, reader, &tx))
+            .map_err(|e| spawn_err(format!("reader thread: {e}")))?;
+        self.procs[w] = Some(WorkerProc {
+            child,
+            writer: SocketTransport::new(writer_stream),
+            reader: Some(handle),
+        });
+        Ok(())
+    }
+
+    fn send(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError> {
+        match &mut self.procs[w] {
+            Some(proc) => proc.writer.send(frame),
+            None => Err(transport_err(format!("worker {w} is not running"))),
+        }
+    }
+
+    fn arm(&mut self, w: usize, chaos: LinkChaos) {
+        self.kill_at[w] = chaos.kill_at;
+    }
+
+    fn heartbeat(&mut self, w: usize, cycle: u64) -> bool {
+        if self.kill_at[w].is_none_or(|kill| cycle < kill) {
+            return false;
+        }
+        self.kill_at[w] = None;
+        // SIGKILL mid-window; the reader thread reports the close.
+        if let Some(proc) = &mut self.procs[w] {
+            let _ = proc.child.kill();
+        }
+        true
+    }
+
+    /// SIGKILLs and reaps worker `w`.
+    fn kill(&mut self, w: usize) {
+        if let Some(mut proc) = self.procs[w].take() {
+            let _ = proc.child.kill();
+            let _ = proc.child.wait();
+            if let Some(handle) = proc.reader.take() {
+                let _ = handle.join();
+            }
+        }
+    }
+
+    /// Clean teardown: shutdown frames, a short grace period, SIGKILL
+    /// stragglers, reap everything, remove the socket dir if we own
+    /// it.
+    fn shutdown(&mut self) {
+        for proc in self.procs.iter_mut().flatten() {
+            let _ = proc.writer.send(&Frame::Shutdown);
+        }
+        let grace = Instant::now() + Duration::from_millis(500);
+        for proc in self.procs.iter_mut().flatten() {
+            while Instant::now() < grace && matches!(proc.child.try_wait(), Ok(None)) {
+                thread::sleep(Duration::from_millis(10));
+            }
+        }
+        for w in 0..self.procs.len() {
+            self.kill(w);
+        }
+        self.listeners.clear();
+        if self.config.sock_dir.is_none() {
+            let _ = std::fs::remove_dir_all(&self.sock_dir);
+        }
+    }
+}
 
 /// Supervises one OS process per shard. See the module docs for the
 /// protocol and recovery model.
@@ -679,105 +869,137 @@ impl<'a> ProcSupervisor<'a> {
     /// * [`PartitionError::Store`] on durable-store failures.
     pub fn run(&self, stim: &Stimulus) -> Result<ProcReport, PartitionError> {
         check_stimulus(self.parts, stim)?;
-        let (event_tx, event_rx) = mpsc::channel();
-        let mut driver = Driver::new(self.parts, &self.launcher, &self.config, event_tx)?;
-        let result = driver.run(stim, &event_rx);
-        driver.shutdown();
+        let chaos = ChaosPlan {
+            kills: self.config.chaos.kill9.clone(),
+            stalls: (self.config.chaos.stalls.iter())
+                .map(|&(w, cycle, millis)| (w, cycle, Duration::from_millis(millis)))
+                .collect(),
+            ..ChaosPlan::default()
+        };
+        let fleet = Processes::new(self.parts, &self.launcher, &self.config)?;
+        let mut supervisor = Supervisor::new(self.parts, fleet, &self.config, &chaos, None);
+        let result = supervisor.run(stim);
+        supervisor.fleet.shutdown();
         result
     }
 }
 
-struct Driver<'a> {
+struct Report {
+    outputs: Vec<Vec<i64>>,
+    out_hashes: Vec<u64>,
+    in_hashes: Vec<u64>,
+    snapshot: Vec<u8>,
+}
+
+/// Where a rollback restores from.
+enum Target {
+    Durable(BarrierRecord),
+    Memory(Vec<Vec<u8>>),
+    PowerOn,
+}
+
+/// `routes[w][out_idx]` is `(consumer, consumer's in_idx)`: both ends
+/// number their links in [`PartitionedNetlist::links`] order.
+pub(crate) fn out_routes(parts: &PartitionedNetlist) -> Vec<Vec<(usize, u32)>> {
+    let mut routes = vec![Vec::new(); parts.parts()];
+    let mut in_counts = vec![0u32; parts.parts()];
+    for link in &parts.links {
+        routes[link.from].push((link.to, in_counts[link.to]));
+        in_counts[link.to] += 1;
+    }
+    routes
+}
+
+/// The one partition supervisor: batch hand-out, barrier check,
+/// generation-tagged rollback and respawn, over a [`Fleet`] of either
+/// isolation.
+pub(crate) struct Supervisor<'a, F: Fleet> {
     parts: &'a PartitionedNetlist,
-    launcher: &'a WorkerLauncher,
+    pub(crate) fleet: F,
     config: &'a ProcConfig,
+    chaos: &'a ChaosPlan,
+    /// Checked at every barrier when supplied.
+    oracle: Option<&'a FrameOutputs>,
     fingerprint: u64,
-    sock_dir: PathBuf,
     store: Option<RunStore>,
-    listeners: Vec<UnixListener>,
     event_tx: Sender<Event>,
-    procs: Vec<WorkerProc>,
+    events: Receiver<Event>,
+    /// Connection id per worker; events from an older connection of a
+    /// respawned worker are dropped by tag.
+    conns: Vec<u64>,
+    alive: Vec<bool>,
+    /// Clock tick of the last frame seen from each worker.
+    last_seen: Vec<u64>,
     next_conn: u64,
-    /// `out_route[w][out_idx]` → `(consumer, consumer's in_idx)`.
     out_route: Vec<Vec<(usize, u32)>>,
-    /// `(producer, out_idx, consumer, in_idx)` per global link.
-    crosslinks: Vec<(usize, usize, usize, usize)>,
     generation: u64,
     liveness_ticks: u64,
     fired_kills: Vec<bool>,
     fired_stalls: Vec<bool>,
+    fired_corruptions: Vec<bool>,
+    /// Per-worker SEU arrivals, keyed by a monotone attempt clock so a
+    /// strike never recurs on replay.
+    seu: Vec<Option<Box<dyn FaultInjector>>>,
+    attempt_clock: u64,
     torn_fired: bool,
     respawns: u32,
-    detections: Vec<Detection>,
+    pub(crate) detections: Vec<Detection>,
+    pub(crate) recoveries: u32,
+    pub(crate) replayed: u64,
 }
 
-impl<'a> Driver<'a> {
-    fn new(
+impl<'a, F: Fleet> Supervisor<'a, F> {
+    pub(crate) fn new(
         parts: &'a PartitionedNetlist,
-        launcher: &'a WorkerLauncher,
+        fleet: F,
         config: &'a ProcConfig,
-        event_tx: Sender<Event>,
-    ) -> Result<Self, PartitionError> {
-        let sock_dir = config.sock_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!(
-                "dwt-proc-{}-{}",
-                std::process::id(),
-                SOCK_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-            ))
-        });
-        std::fs::create_dir_all(&sock_dir).map_err(|e| spawn_err(format!("socket dir: {e}")))?;
-        let store = match &config.store_dir {
-            Some(dir) => Some(RunStore::open(dir.clone())?),
-            None => None,
-        };
+        chaos: &'a ChaosPlan,
+        oracle: Option<&'a FrameOutputs>,
+    ) -> Self {
         let n = parts.parts();
-        let mut listeners = Vec::with_capacity(n);
-        for w in 0..n {
-            let path = sock_dir.join(format!("worker-{w}.sock"));
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)
-                .map_err(|e| spawn_err(format!("bind {}: {e}", path.display())))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| spawn_err(format!("nonblocking listener: {e}")))?;
-            listeners.push(listener);
-        }
-        let mut out_route: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        let mut crosslinks = Vec::with_capacity(parts.links.len());
-        let mut out_counts = vec![0usize; n];
-        let mut in_counts = vec![0u32; n];
-        for link in &parts.links {
-            out_route[link.from].push((link.to, in_counts[link.to]));
-            crosslinks.push((
-                link.from,
-                out_counts[link.from],
-                link.to,
-                in_counts[link.to] as usize,
-            ));
-            out_counts[link.from] += 1;
-            in_counts[link.to] += 1;
-        }
-        Ok(Driver {
+        let (event_tx, events) = mpsc::channel();
+        let seu = (0..n)
+            .map(|w| {
+                let plan = chaos.seu.as_ref()?;
+                let netlist = &parts.shards[w].netlist;
+                PoissonSeuBuilder::new()
+                    .rate(plan.rate)
+                    .stuck_fraction(0.0)
+                    .common_mode(0.0)
+                    .seed(plan.seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9))
+                    .build(netlist, netlist)
+                    .ok()
+                    .map(|inj| Box::new(inj) as Box<dyn FaultInjector>)
+            })
+            .collect();
+        Supervisor {
             parts,
-            launcher,
+            fleet,
             config,
+            chaos,
+            oracle,
             fingerprint: parts.fingerprint(),
-            sock_dir,
-            store,
-            listeners,
+            store: None,
             event_tx,
-            procs: Vec::new(),
+            events,
+            conns: vec![0; n],
+            alive: vec![false; n],
+            last_seen: vec![0; n],
             next_conn: 0,
-            out_route,
-            crosslinks,
+            out_route: out_routes(parts),
             generation: 0,
             liveness_ticks: u64::try_from(config.liveness.as_nanos()).unwrap_or(u64::MAX),
-            fired_kills: vec![false; config.chaos.kill9.len()],
-            fired_stalls: vec![false; config.chaos.stalls.len()],
+            fired_kills: vec![false; chaos.kills.len()],
+            fired_stalls: vec![false; chaos.stalls.len()],
+            fired_corruptions: vec![false; chaos.corruptions.len()],
+            seu,
+            attempt_clock: 0,
             torn_fired: false,
             respawns: 0,
             detections: Vec::new(),
-        })
+            recoveries: 0,
+            replayed: 0,
+        }
     }
 
     fn now(&self) -> u64 {
@@ -788,123 +1010,35 @@ impl<'a> Driver<'a> {
         self.detections.push(Detection { worker, batch_start, kind });
     }
 
-    /// Spawns worker `w`'s process, accepts its connection, verifies
-    /// its Hello, and starts its reader thread.
-    #[allow(clippy::too_many_lines)]
-    fn spawn_worker(&mut self, w: usize) -> Result<WorkerProc, PartitionError> {
-        let path = self.sock_dir.join(format!("worker-{w}.sock"));
-        let mut child = Command::new(&self.launcher.program)
-            .args(&self.launcher.args)
-            .arg("--shard")
-            .arg(w.to_string())
-            .arg("--socket")
-            .arg(&path)
-            .spawn()
-            .map_err(|e| spawn_err(format!("worker {w}: {e}")))?;
-        // Non-blocking accept under a wall-clock budget: process
-        // startup plus engine build can be slow in debug builds.
-        let deadline = Instant::now() + self.config.hello_timeout;
-        let stream = loop {
-            match self.listeners[w].accept() {
-                Ok((stream, _)) => break stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Err(spawn_err(format!("worker {w}: no connection in time")));
-                    }
-                    if let Ok(Some(status)) = child.try_wait() {
-                        return Err(spawn_err(format!("worker {w} exited at launch: {status}")));
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(spawn_err(format!("worker {w} accept: {e}")));
-                }
-            }
-        };
-        let _ = stream.set_nonblocking(false);
-        // A wedged worker must not block the hub's writes forever.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        let writer_stream =
-            stream.try_clone().map_err(|e| spawn_err(format!("worker {w} clone: {e}")))?;
-        let mut reader = SocketTransport::new(stream);
-        // Admission: the worker proves it rebuilt the same cut. Read
-        // the Hello synchronously so the reader thread starts with a
-        // clean stream position.
-        match reader.recv_timeout(self.config.hello_timeout) {
-            Ok(Frame::Hello { worker, fingerprint })
-                if worker as usize == w && fingerprint == self.fingerprint => {}
-            Ok(Frame::Hello { fingerprint, .. }) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(spawn_err(format!(
-                    "worker {w} admission refused: fingerprint {fingerprint:#x} != {:#x}",
-                    self.fingerprint
-                )));
-            }
-            Ok(other) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(spawn_err(format!("worker {w} sent {other:?} instead of Hello")));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(spawn_err(format!("worker {w} hello: {e}")));
-            }
-        }
+    fn spawn(&mut self, w: usize) -> Result<(), PartitionError> {
         let conn = self.next_conn;
         self.next_conn += 1;
-        let tx = self.event_tx.clone();
-        let handle = thread::Builder::new()
-            .name(format!("dwt-proc-reader-{w}"))
-            .spawn(move || reader_main(w, conn, reader, &tx))
-            .map_err(|e| spawn_err(format!("reader thread: {e}")))?;
-        let last_seen = self.now();
-        Ok(WorkerProc {
-            child,
-            writer: SocketTransport::new(writer_stream),
-            conn,
-            alive: true,
-            last_seen,
-            reader: Some(handle),
-        })
+        self.fleet.spawn(w, conn, &self.event_tx)?;
+        self.conns[w] = conn;
+        self.alive[w] = true;
+        self.last_seen[w] = self.now();
+        Ok(())
     }
 
-    /// SIGKILLs and reaps worker `w` (idempotent).
-    fn kill_worker(&mut self, w: usize) {
-        let proc = &mut self.procs[w];
-        proc.alive = false;
-        let _ = proc.child.kill();
-        let _ = proc.child.wait();
-        if let Some(handle) = proc.reader.take() {
-            let _ = handle.join();
-        }
+    fn kill(&mut self, w: usize) {
+        self.alive[w] = false;
+        self.fleet.kill(w);
     }
 
     /// Respawns worker `w` against the bounded budget.
-    fn respawn_worker(&mut self, w: usize) -> Result<(), PartitionError> {
-        self.kill_worker(w);
+    fn respawn(&mut self, w: usize) -> Result<(), PartitionError> {
+        self.kill(w);
         self.respawns += 1;
         if self.respawns > self.config.max_respawns {
             return Err(PartitionError::Exhausted {
                 detail: format!("respawn budget ({}) exhausted", self.config.max_respawns),
             });
         }
-        let fresh = self.spawn_worker(w)?;
-        self.procs[w] = fresh;
-        Ok(())
+        self.spawn(w)
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run(
-        &mut self,
-        stim: &Stimulus,
-        events: &Receiver<Event>,
-    ) -> Result<ProcReport, PartitionError> {
+    pub(crate) fn run(&mut self, stim: &Stimulus) -> Result<ProcReport, PartitionError> {
         let n = self.parts.parts();
         let mut committed = FrameOutputs::default();
         for shard in &self.parts.shards {
@@ -915,6 +1049,9 @@ impl<'a> Driver<'a> {
         let mut cursor: u64 = 0;
         let mut snapshots: Option<Vec<Vec<u8>>> = None;
         let mut resumed_from = None;
+        if let Some(dir) = &self.config.store_dir {
+            self.store = Some(RunStore::open(dir.clone())?);
+        }
         if self.config.resume {
             let store = self.store.as_ref().ok_or_else(|| PartitionError::Store {
                 detail: "resume requested without a store directory".into(),
@@ -937,48 +1074,25 @@ impl<'a> Driver<'a> {
 
         // Launch the fleet.
         for w in 0..n {
-            let proc = self.spawn_worker(w)?;
-            self.procs.push(proc);
+            self.spawn(w)?;
         }
         // A resumed run seeds every worker from the durable barrier
         // before the first batch.
         if let Some(blobs) = snapshots.clone() {
             let blobs: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
-            self.rollback_to(cursor, &blobs, events)?;
+            self.rollback_to(cursor, &blobs)?;
         }
 
-        let mut recoveries: u32 = 0;
         let mut barriers: u64 = 0;
-        let mut replayed: u64 = 0;
-
         while cursor < stim.cycles {
             let batch_len = self.config.snapshot_interval.min(stim.cycles - cursor);
             let prologue = cursor == 0 && snapshots.is_none();
             self.send_batches(stim, cursor, batch_len, prologue);
-            let reports = self.collect_batch(cursor, events);
+            let reports = self.collect_batch(cursor).filter(|r| self.barrier_holds(cursor, r));
 
-            let mut batch_ok = reports.iter().all(Option::is_some);
-            if batch_ok {
-                // Barrier crosscheck: both ends of every link must
-                // have hashed the same value stream.
-                for &(producer, out_idx, consumer, in_idx) in &self.crosslinks {
-                    let produced = reports[producer].as_ref().map(|r| r.out_hashes[out_idx]);
-                    let consumed = reports[consumer].as_ref().map(|r| r.in_hashes[in_idx]);
-                    if produced != consumed {
-                        self.detections.push(Detection {
-                            worker: Some(consumer),
-                            batch_start: cursor,
-                            kind: DetectionKind::LinkHashMismatch,
-                        });
-                        batch_ok = false;
-                    }
-                }
-            }
-
-            if batch_ok {
+            if let Some(reports) = reports {
                 let mut blobs = Vec::with_capacity(n);
                 for (w, report) in reports.into_iter().enumerate() {
-                    let report = report.expect("batch_ok implies every report present");
                     for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
                         let sink = committed.ports.get_mut(port).expect("port registered");
                         sink.extend(report.outputs.iter().map(|row| row[i]));
@@ -1007,21 +1121,12 @@ impl<'a> Driver<'a> {
                 }
                 snapshots = Some(blobs.into_iter().map(|b| b.snapshot).collect());
                 if self.config.stop_after_barriers == Some(barriers) && cursor < stim.cycles {
-                    return Ok(ProcReport {
-                        outputs: committed,
-                        detections: std::mem::take(&mut self.detections),
-                        recoveries,
-                        respawns: self.respawns,
-                        barriers,
-                        replayed_cycles: replayed,
-                        resumed_from,
-                        completed: false,
-                    });
+                    return Ok(self.report(committed, barriers, resumed_from, false));
                 }
             } else {
-                recoveries += 1;
-                replayed += batch_len;
-                if recoveries > self.config.max_recoveries {
+                self.recoveries += 1;
+                self.replayed += batch_len;
+                if self.recoveries > self.config.max_recoveries {
                     return Err(PartitionError::Exhausted {
                         detail: format!(
                             "recovery budget ({}) exhausted at cycle {cursor}",
@@ -1050,209 +1155,254 @@ impl<'a> Driver<'a> {
                         if record.cycle < cursor {
                             // Fell back behind the in-memory commit
                             // point: rewind the committed prefix too.
-                            replayed += cursor - record.cycle;
+                            self.replayed += cursor - record.cycle;
                             committed.ports = record.outputs.clone();
                             cursor = record.cycle;
                         }
                         let blobs: Vec<Option<Vec<u8>>> =
                             record.workers.iter().map(|b| Some(b.snapshot.clone())).collect();
                         snapshots = Some(record.workers.into_iter().map(|b| b.snapshot).collect());
-                        self.rollback_to(cursor, &blobs, events)?;
+                        self.rollback_to(cursor, &blobs)?;
                     }
                     Target::Memory(blobs) => {
                         let blobs: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
-                        self.rollback_to(cursor, &blobs, events)?;
+                        self.rollback_to(cursor, &blobs)?;
                     }
                     Target::PowerOn => {
-                        replayed += cursor;
+                        self.replayed += cursor;
                         cursor = 0;
                         for values in committed.ports.values_mut() {
                             values.clear();
                         }
                         snapshots = None;
-                        self.rollback_to(0, &vec![None; n], events)?;
+                        self.rollback_to(0, &vec![None; n])?;
                     }
                 }
             }
         }
-        Ok(ProcReport {
-            outputs: committed,
-            detections: std::mem::take(&mut self.detections),
-            recoveries,
-            respawns: self.respawns,
-            barriers,
-            replayed_cycles: replayed,
-            resumed_from,
-            completed: true,
-        })
+        Ok(self.report(committed, barriers, resumed_from, true))
     }
 
-    /// Distributes one batch to every worker.
+    fn report(
+        &mut self,
+        outputs: FrameOutputs,
+        barriers: u64,
+        resumed_from: Option<u64>,
+        completed: bool,
+    ) -> ProcReport {
+        ProcReport {
+            outputs,
+            detections: std::mem::take(&mut self.detections),
+            recoveries: self.recoveries,
+            respawns: self.respawns,
+            barriers,
+            replayed_cycles: self.replayed,
+            resumed_from,
+            completed,
+        }
+    }
+
+    /// Hands one batch to every worker, with the chaos that falls in
+    /// its window armed. Each directive fires once.
     fn send_batches(&mut self, stim: &Stimulus, cursor: u64, batch_len: u64, prologue: bool) {
-        let generation = self.generation;
-        for w in 0..self.parts.parts() {
-            let shard = &self.parts.shards[w];
+        let window = cursor..cursor + batch_len;
+        let parts = self.parts;
+        let chaos = self.chaos;
+        for w in 0..parts.parts() {
+            let shard = &parts.shards[w];
             let inputs: Vec<Vec<i64>> = (0..batch_len)
                 .map(|o| {
                     shard.inputs.iter().map(|p| stim.inputs[p][(cursor + o) as usize]).collect()
                 })
                 .collect();
+            let mut faults = Vec::new();
+            if let Some(inj) = self.seu[w].as_mut() {
+                for o in 0..batch_len {
+                    for spec in inj.arrivals(self.attempt_clock + o, Lane::Primary) {
+                        faults.push((o, spec));
+                    }
+                }
+            }
+            let mut armed = LinkChaos::default();
+            for (i, &(kw, kc)) in chaos.kills.iter().enumerate() {
+                if kw == w && window.contains(&kc) && !self.fired_kills[i] {
+                    self.fired_kills[i] = true;
+                    armed.kill_at = Some(kc);
+                }
+            }
             let mut stall = None;
-            for (i, &(sw, sc, millis)) in self.config.chaos.stalls.iter().enumerate() {
-                if sw == w && sc >= cursor && sc < cursor + batch_len && !self.fired_stalls[i] {
+            for (i, &(sw, sc, pause)) in chaos.stalls.iter().enumerate() {
+                if sw == w && window.contains(&sc) && !self.fired_stalls[i] {
                     self.fired_stalls[i] = true;
+                    let millis = u64::try_from(pause.as_millis()).unwrap_or(u64::MAX);
                     stall = Some((sc - cursor, millis));
                 }
             }
+            for (i, c) in chaos.corruptions.iter().enumerate() {
+                if c.from == w && window.contains(&c.cycle) && !self.fired_corruptions[i] {
+                    let link = self.out_route[w].iter().position(|&(to, _)| to == c.to);
+                    if let Some(link) = link.and_then(|l| u32::try_from(l).ok()) {
+                        self.fired_corruptions[i] = true;
+                        armed.corrupt.push((c.cycle, link, c.stealth));
+                    }
+                }
+            }
+            self.fleet.arm(w, armed);
             let frame = Frame::Batch {
-                generation,
+                generation: self.generation,
                 start: cursor,
                 cycles: batch_len,
                 prologue,
                 inputs,
-                faults: Vec::new(),
+                faults,
                 stall,
             };
-            let now = self.now();
-            let proc = &mut self.procs[w];
-            proc.last_seen = now;
+            self.last_seen[w] = self.now();
             // A send failure means the worker died; the collect loop
             // will see the close or the silence.
-            let _ = proc.writer.send(&frame);
+            let _ = self.fleet.send(w, &frame);
         }
+        self.attempt_clock += batch_len;
     }
 
-    /// Collects one barrier report per worker, routing boundary
-    /// traffic and policing liveness meanwhile. All-`None` means the
-    /// batch failed and a rollback is due.
+    /// Collects one barrier report per worker, routing any boundary
+    /// traffic that comes through the supervisor and policing
+    /// liveness meanwhile. `None` means the batch failed and a
+    /// rollback is due.
     #[allow(clippy::too_many_lines)]
-    fn collect_batch(&mut self, cursor: u64, events: &Receiver<Event>) -> Vec<Option<Report>> {
+    fn collect_batch(&mut self, cursor: u64) -> Option<Vec<Report>> {
         let n = self.parts.parts();
         let mut reports: Vec<Option<Report>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
-        let mut failed = false;
-        while received < n && !failed {
-            match events.recv_timeout(Duration::from_millis(10)) {
-                Ok(Event::Frame { worker, conn, frame }) => {
-                    if self.procs[worker].conn != conn {
-                        continue; // stale connection
-                    }
-                    let now = self.now();
-                    self.procs[worker].last_seen = now;
-                    match frame {
-                        Frame::Boundary { generation, link, msg } => {
-                            if generation != self.generation {
-                                continue;
-                            }
-                            let Some(&(consumer, in_idx)) =
-                                self.out_route[worker].get(link as usize)
-                            else {
-                                self.detect(Some(worker), cursor, DetectionKind::Sequence);
-                                failed = true;
-                                continue;
-                            };
-                            let routed = Frame::Boundary { generation, link: in_idx, msg };
-                            // A failed forward surfaces as the
-                            // consumer's own silence or close.
-                            let _ = self.procs[consumer].writer.send(&routed);
-                        }
-                        Frame::Heartbeat { generation, cycle, .. } => {
-                            if generation != self.generation {
-                                continue;
-                            }
-                            for (i, &(kw, kc)) in self.config.chaos.kill9.iter().enumerate() {
-                                if kw == worker && cycle >= kc && !self.fired_kills[i] {
-                                    self.fired_kills[i] = true;
-                                    // SIGKILL mid-window; the reader
-                                    // thread reports the close.
-                                    let _ = self.procs[worker].child.kill();
-                                }
-                            }
-                        }
-                        Frame::BarrierReport {
-                            generation,
-                            start,
-                            outputs,
-                            out_hashes,
-                            in_hashes,
-                            snapshot,
-                            ..
-                        } => {
-                            if generation != self.generation || start != cursor {
-                                continue;
-                            }
-                            if reports[worker].is_none() {
-                                received += 1;
-                            }
-                            reports[worker] =
-                                Some(Report { outputs, out_hashes, in_hashes, snapshot });
-                        }
-                        Frame::Fault { generation, kind, .. } => {
-                            if generation != self.generation {
-                                continue;
-                            }
-                            self.detect(Some(worker), cursor, kind);
-                            failed = true;
-                        }
-                        // Hellos/acks outside their windows: ignore.
-                        _ => {}
-                    }
-                }
+        loop {
+            // Liveness first, so a deadline born expired fails the
+            // batch before any report can land: a worker silent for
+            // the whole window is dead.
+            let now = self.now();
+            let silent: Vec<usize> = (0..n)
+                .filter(|&w| reports[w].is_none())
+                .filter(|&w| now.saturating_sub(self.last_seen[w]) >= self.liveness_ticks)
+                .collect();
+            for &w in &silent {
+                self.detect(Some(w), cursor, DetectionKind::Stall);
+                self.kill(w);
+            }
+            if !silent.is_empty() {
+                return None;
+            }
+            if received == n {
+                return reports.into_iter().collect();
+            }
+            let (worker, conn, frame) = match self.events.recv_timeout(Duration::from_millis(10)) {
+                Ok(Event::Frame { worker, conn, frame }) => (worker, conn, frame),
                 Ok(Event::Closed { worker, conn }) => {
-                    if self.procs[worker].conn != conn {
-                        continue;
+                    if self.conns[worker] == conn {
+                        self.alive[worker] = false;
+                        self.detect(Some(worker), cursor, DetectionKind::Crash);
+                        return None;
                     }
-                    self.procs[worker].alive = false;
-                    self.detect(Some(worker), cursor, DetectionKind::Crash);
-                    failed = true;
+                    continue;
                 }
                 Ok(Event::Malformed { worker, conn }) => {
-                    if self.procs[worker].conn != conn {
-                        continue;
+                    if self.conns[worker] == conn {
+                        // Garbage on the control stream: framing is
+                        // lost, the worker cannot be trusted.
+                        self.detect(Some(worker), cursor, DetectionKind::Checksum);
+                        self.kill(worker);
+                        return None;
                     }
-                    // Garbage on the control stream: framing is lost,
-                    // the worker cannot be trusted — treat as dead.
-                    self.detect(Some(worker), cursor, DetectionKind::Checksum);
-                    self.kill_worker(worker);
-                    failed = true;
+                    continue;
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    failed = true;
-                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return None,
+            };
+            if self.conns[worker] != conn {
+                continue; // stale connection
             }
-            if !failed {
-                // Liveness: heartbeats (or any traffic) must keep
-                // every unreported worker fresh.
-                let now = self.now();
-                for (w, report) in reports.iter().enumerate() {
-                    if report.is_none()
-                        && now.saturating_sub(self.procs[w].last_seen) > self.liveness_ticks
-                    {
-                        self.detect(Some(w), cursor, DetectionKind::Stall);
-                        self.kill_worker(w);
-                        failed = true;
+            self.last_seen[worker] = self.now();
+            match frame {
+                Frame::Boundary { generation, link, msg } if generation == self.generation => {
+                    let Some(&(consumer, in_idx)) = self.out_route[worker].get(link as usize)
+                    else {
+                        self.detect(Some(worker), cursor, DetectionKind::Sequence);
+                        return None;
+                    };
+                    // A failed forward surfaces as the consumer's own
+                    // silence or close.
+                    let routed = Frame::Boundary { generation, link: in_idx, msg };
+                    let _ = self.fleet.send(consumer, &routed);
+                }
+                // A worker killed mid-window may already have sent its
+                // report; a fast producer can finish the batch before the
+                // kill lands. Fail the batch here.
+                Frame::Heartbeat { generation, cycle, .. }
+                    if generation == self.generation && self.fleet.heartbeat(worker, cycle) =>
+                {
+                    self.alive[worker] = false;
+                    self.detect(Some(worker), cursor, DetectionKind::Crash);
+                    return None;
+                }
+                Frame::BarrierReport {
+                    generation,
+                    start,
+                    outputs,
+                    out_hashes,
+                    in_hashes,
+                    snapshot,
+                    ..
+                } if generation == self.generation && start == cursor => {
+                    if reports[worker].is_none() {
+                        received += 1;
                     }
+                    reports[worker] = Some(Report { outputs, out_hashes, in_hashes, snapshot });
+                }
+                Frame::Fault { generation, kind, .. } if generation == self.generation => {
+                    self.detect(Some(worker), cursor, kind);
+                    return None;
+                }
+                // Stale generations, Hellos and acks outside their
+                // windows: ignore.
+                _ => {}
+            }
+        }
+    }
+
+    /// The barrier check: both ends of every link hashed the same value
+    /// stream, and — when an oracle is supplied — every output matches
+    /// it.
+    fn barrier_holds(&mut self, cursor: u64, reports: &[Report]) -> bool {
+        let mut ok = true;
+        for producer in 0..self.out_route.len() {
+            for (out_idx, &(consumer, in_idx)) in self.out_route[producer].iter().enumerate() {
+                let produced = reports[producer].out_hashes.get(out_idx);
+                let consumed = reports[consumer].in_hashes.get(in_idx as usize);
+                if produced.is_none() || produced != consumed {
+                    self.detections.push(Detection {
+                        worker: Some(consumer),
+                        batch_start: cursor,
+                        kind: DetectionKind::LinkHashMismatch,
+                    });
+                    ok = false;
                 }
             }
         }
-        if failed {
-            // Poison partial results so the caller rolls back.
-            for slot in &mut reports {
-                *slot = None;
+        let Some(expected) = self.oracle.filter(|_| ok) else { return ok };
+        for (w, report) in reports.iter().enumerate() {
+            for (i, port) in self.parts.shards[w].outputs.iter().enumerate() {
+                let Some(want) = expected.ports.get(port) else { continue };
+                let got = report.outputs.iter().map(|row| row[i]);
+                if want.iter().skip(cursor as usize).zip(got).any(|(&want, got)| want != got) {
+                    self.detect(Some(w), cursor, DetectionKind::OracleMismatch);
+                    ok = false;
+                }
             }
         }
-        reports
+        ok
     }
 
     /// Generation-bump rollback: respawn the dead, restore everyone to
     /// `cycle` (power-on where a blob is `None`), await every ack.
-    fn rollback_to(
-        &mut self,
-        cycle: u64,
-        blobs: &[Option<Vec<u8>>],
-        events: &Receiver<Event>,
-    ) -> Result<(), PartitionError> {
+    fn rollback_to(&mut self, cycle: u64, blobs: &[Option<Vec<u8>>]) -> Result<(), PartitionError> {
         let n = self.parts.parts();
         self.generation += 1;
         let mut attempts = 0u32;
@@ -1264,8 +1414,8 @@ impl<'a> Driver<'a> {
                 });
             }
             for w in 0..n {
-                if !self.procs[w].alive {
-                    self.respawn_worker(w)?;
+                if !self.alive[w] {
+                    self.respawn(w)?;
                 }
             }
             let generation = self.generation;
@@ -1273,8 +1423,8 @@ impl<'a> Driver<'a> {
             for (w, blob) in blobs.iter().enumerate() {
                 let snapshot = blob.clone().unwrap_or_default();
                 let frame = Frame::Rollback { generation, cycle, snapshot };
-                if self.procs[w].writer.send(&frame).is_err() {
-                    self.procs[w].alive = false;
+                if self.fleet.send(w, &frame).is_err() {
+                    self.alive[w] = false;
                     send_failed = true;
                 }
             }
@@ -1291,13 +1441,12 @@ impl<'a> Driver<'a> {
             let mut acked = vec![false; n];
             let mut acks = 0usize;
             while acks < n && !deadline.expired() {
-                match events.recv_timeout(Duration::from_millis(10)) {
+                match self.events.recv_timeout(Duration::from_millis(10)) {
                     Ok(Event::Frame { worker, conn, frame }) => {
-                        if self.procs[worker].conn != conn {
+                        if self.conns[worker] != conn {
                             continue;
                         }
-                        let now = self.now();
-                        self.procs[worker].last_seen = now;
+                        self.last_seen[worker] = self.now();
                         if let Frame::RollbackAck { generation: g, .. } = frame {
                             if g == generation && !acked[worker] {
                                 acked[worker] = true;
@@ -1307,8 +1456,8 @@ impl<'a> Driver<'a> {
                         // Everything else mid-rollback is stale.
                     }
                     Ok(Event::Closed { worker, conn } | Event::Malformed { worker, conn }) => {
-                        if self.procs[worker].conn == conn {
-                            self.procs[worker].alive = false;
+                        if self.conns[worker] == conn {
+                            self.alive[worker] = false;
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => {}
@@ -1322,42 +1471,9 @@ impl<'a> Driver<'a> {
             // attempt counter and the respawn budget).
             for (w, ok) in acked.iter().enumerate() {
                 if !ok {
-                    self.kill_worker(w);
+                    self.kill(w);
                 }
             }
-        }
-    }
-
-    /// Clean teardown: shutdown frames, a short grace period, SIGKILL
-    /// stragglers, reap everything, remove the socket dir if we own
-    /// it.
-    fn shutdown(&mut self) {
-        for proc in &mut self.procs {
-            let _ = proc.writer.send(&Frame::Shutdown);
-        }
-        let grace = Instant::now() + Duration::from_millis(500);
-        for w in 0..self.procs.len() {
-            loop {
-                match self.procs[w].child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < grace => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    _ => {
-                        let _ = self.procs[w].child.kill();
-                        let _ = self.procs[w].child.wait();
-                        break;
-                    }
-                }
-            }
-            self.procs[w].alive = false;
-            if let Some(handle) = self.procs[w].reader.take() {
-                let _ = handle.join();
-            }
-        }
-        self.listeners.clear();
-        if self.config.sock_dir.is_none() {
-            let _ = std::fs::remove_dir_all(&self.sock_dir);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The self-describing byte protocol between the partition supervisor
 //! and its shard workers.
 //!
-//! Thread-mode workers exchange typed values over `mpsc` channels; the
-//! process-isolation mode cannot — a worker is a separate address
-//! space on the far side of a Unix socket, possibly running a
-//! different build if an operator mixes binaries. Every message
-//! therefore travels as a **frame** with a self-describing envelope:
+//! A process-isolated worker is a separate address space on the far
+//! side of a Unix socket, possibly running a different build if an
+//! operator mixes binaries. Every message therefore travels as a
+//! **frame** with a self-describing envelope, under thread isolation
+//! too:
 //!
 //! ```text
 //! magic "DWTP" (4) | version (1) | frame type (1) | payload len (4, LE)
@@ -23,10 +23,10 @@
 //!
 //! The same codec carries the lockstep data plane ([`Frame::Boundary`]
 //! wrapping the existing [`BoundaryMsg`]) and the control plane
-//! (hello/batch/barrier/rollback/fault/shutdown). Thread mode now
-//! round-trips boundary messages through these bytes too, so every
-//! differential test exercises the wire format, not just the process
-//! campaign.
+//! (hello/batch/barrier/rollback/fault/shutdown). Thread mode
+//! round-trips boundary messages and control frames to its workers
+//! through these bytes, so every differential test exercises the wire
+//! format, not just the process campaign.
 //!
 //! Frames after a rollback carry a **generation** counter: the
 //! supervisor bumps it on every rollback, and both ends drop frames

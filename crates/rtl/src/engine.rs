@@ -107,8 +107,9 @@ pub trait PortableSnapshot: Sized {
 /// broadcast scalar `set_input` values to every lane and report lane 0
 /// from `peek`, so scalar code behaves identically on every backend.
 pub trait Engine: Sized + std::fmt::Debug {
-    /// Opaque architectural-state checkpoint for this backend.
-    type Snapshot: Clone + std::fmt::Debug;
+    /// Opaque architectural-state checkpoint for this backend, portable
+    /// across address spaces as bytes.
+    type Snapshot: Clone + std::fmt::Debug + PortableSnapshot;
 
     /// Builds an engine for a validated netlist, with all state at
     /// power-on defaults (registers and memories zeroed, combinational
@@ -387,7 +388,7 @@ impl Backend {
             fn run<E>(self) -> Self::Output
             where
                 E: Engine + Send + 'static,
-                E::Snapshot: PortableSnapshot + Send,
+                E::Snapshot: Send,
             {
                 Ok(Box::new(E::from_netlist(self.0)?))
             }
@@ -434,10 +435,10 @@ impl std::fmt::Display for Backend {
 /// with the concrete engine type the backend names.
 ///
 /// The bounds are the superset every executor in the workspace needs —
-/// engines move into worker threads (serve, pool, partition) and their
-/// snapshots cross process boundaries (partition's process-isolation
-/// mode), so `Send + 'static` and [`PortableSnapshot`] are part of the
-/// dispatch contract rather than re-negotiated at each call site.
+/// engines move into worker threads (serve, pool, partition), so
+/// `Send + 'static` is part of the dispatch contract rather than
+/// re-negotiated at each call site. Snapshots are always
+/// [`PortableSnapshot`]: [`Engine::Snapshot`] carries that bound.
 pub trait BackendRunner {
     /// What the continuation produces (typically `Result<...>` or an
     /// exit code).
@@ -447,7 +448,7 @@ pub trait BackendRunner {
     fn run<E>(self) -> Self::Output
     where
         E: Engine + Send + 'static,
-        E::Snapshot: PortableSnapshot + Send + 'static;
+        E::Snapshot: Send + 'static;
 }
 
 /// Object-safe subset of [`Engine`] for callers that pick a backend at
@@ -533,7 +534,6 @@ pub trait DynEngine: std::fmt::Debug + Send {
 impl<E> DynEngine for E
 where
     E: Engine + Send + 'static,
-    E::Snapshot: PortableSnapshot,
 {
     fn netlist(&self) -> &Netlist {
         Engine::netlist(self)
@@ -668,7 +668,7 @@ mod tests {
             fn run<E>(self) -> Self::Output
             where
                 E: Engine + Send + 'static,
-                E::Snapshot: PortableSnapshot + Send,
+                E::Snapshot: Send,
             {
                 let engine = E::from_netlist(tiny_netlist()).unwrap();
                 let caps = engine.caps();

@@ -59,6 +59,24 @@ pub enum FaultSpec {
     },
 }
 
+impl FaultSpec {
+    /// The same fault, moved to strike at tick `now`: transient upsets
+    /// are rebased to that clock edge, persistent stuck-at faults pass
+    /// through unchanged.
+    #[must_use]
+    pub fn rebase(self, now: u64) -> FaultSpec {
+        match self {
+            FaultSpec::BitFlip { register, bit, .. } => {
+                FaultSpec::BitFlip { register, bit, cycle: now }
+            }
+            FaultSpec::RamUpset { ram, addr, bit, .. } => {
+                FaultSpec::RamUpset { ram, addr, bit, cycle: now }
+            }
+            stuck @ FaultSpec::StuckAt { .. } => stuck,
+        }
+    }
+}
+
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
