@@ -7,9 +7,12 @@
 //! execution cheap: **every net crossing a shard boundary must be
 //! driven by a register, a constant, or a primary input** — never by
 //! ordinary combinational logic. Register outputs only change on the
-//! clock edge, so one boundary-value exchange per virtual cycle
-//! reproduces the monolithic machine bit-for-bit; a combinational
-//! boundary would need a fixpoint exchange *within* every cycle.
+//! clock edge and constants never do, so at most one boundary-value
+//! exchange per link per virtual cycle reproduces the monolithic
+//! machine bit-for-bit (a constant-driven link needs one exchange in
+//! all, at power-on); a combinational boundary would need a fixpoint
+//! exchange *within* every cycle. When each link's value must arrive
+//! is the worker's [`LinkSchedule`](crate::proc::LinkSchedule).
 //!
 //! The pass therefore:
 //!

@@ -11,8 +11,9 @@
 //! 1. [`cut`] — a min-cut partitioning pass over the validated
 //!    netlist IR. Cuts are only legal on register/constant boundaries
 //!    (dwt-lint's pipeline-balance solver pins the legal cut points),
-//!    so cross-shard values are stable for a full cycle and one
-//!    exchange round per cycle suffices. [`stitch`] is the exact
+//!    so cross-shard values are stable for a full cycle: a link needs
+//!    at most one exchange per cycle, and a constant-driven one a
+//!    single exchange at power-on. [`stitch`] is the exact
 //!    inverse, reassembling the original netlist — dwt-equiv proves
 //!    `stitch(partition(n)) ≡ n` as a standing obligation.
 //! 2. [`channel`] and [`wire`] — the sequence-numbered, checksummed
@@ -47,8 +48,8 @@ pub use channel::{fnv1a, hash_seed, BoundaryMsg, LinkFault};
 pub use cut::{partition, stitch, BoundaryLink, CutOptions, CutPort, PartitionedNetlist, Shard};
 pub use error::PartitionError;
 pub use proc::{
-    run_worker, ProcChaos, ProcConfig, ProcReport, ProcSupervisor, WorkerConfig, WorkerLauncher,
-    WorkerSpec,
+    run_worker, LinkSchedule, ProcChaos, ProcConfig, ProcReport, ProcSupervisor, WorkerConfig,
+    WorkerLauncher, WorkerSpec,
 };
 pub use runner::{
     run_single, ChaosPlan, Corruption, Detection, DetectionKind, FrameOutputs, FrameReport,

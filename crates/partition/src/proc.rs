@@ -5,18 +5,23 @@
 //!   themselves with a [`Frame::Hello`] carrying the cut
 //!   [`fingerprint`](PartitionedNetlist::fingerprint), and then speak
 //!   the framed wire protocol: batches in, boundary values and barrier
-//!   reports out, heartbeats while executing. Virtual cycle `k` is a
-//!   fixed four-phase step: stage the primary inputs, tick, send the
-//!   `__cut` outputs on every out-link, then receive, verify (sequence
-//!   and checksum), stage and settle every in-link. All sends precede
-//!   all receives, so cyclic shard graphs cannot deadlock. A prologue
-//!   exchange before the first tick hands out the power-on boundary
-//!   values.
+//!   reports out, heartbeats while executing. Each link has a
+//!   [`LinkSchedule`]. Virtual cycle `k` stages the primary inputs,
+//!   receives every downstream link (from a lower-numbered shard), ticks,
+//!   sends every dynamic out-link, then receives every upstream link
+//!   (from a higher-numbered shard) and settles only if it had one;
+//!   every receive is verified (sequence and checksum). A shard waits
+//!   before its tick only on shards below it, so no link graph can
+//!   deadlock. A prologue exchange on every link before the first tick
+//!   hands out the power-on boundary values, and is the only exchange
+//!   a static (constant-driven) link ever makes.
 //! * **The supervisor** hands out batches of `snapshot_interval`
 //!   cycles and commits a barrier only when every report arrived, both
 //!   ends of every link hash identically, and — when an oracle is
 //!   supplied — the outputs match it. It polices per-worker liveness
-//!   on a [`Clock`]-driven deadline.
+//!   on a [`Clock`]-driven deadline and, for fleets whose workers send
+//!   no heartbeat, flags a worker that trails the batch's first report
+//!   by the exchange timeout as a straggler.
 //! * **Recovery** is generation-tagged rollback. Any crash, stall,
 //!   protocol violation, checksum or sequence fault, hash or oracle
 //!   mismatch aborts the batch: the supervisor bumps the generation,
@@ -56,12 +61,13 @@ use std::time::{Duration, Instant};
 use dwt_pool::clock::{Clock, Deadline, MonotonicClock};
 use dwt_recover::injector::{FaultInjector, Lane};
 use dwt_recover::seu::PoissonSeuBuilder;
+use dwt_rtl::cell::CellKind;
 use dwt_rtl::engine::{Engine, PortableSnapshot};
 use dwt_rtl::fault::FaultSpec;
 use dwt_rtl::netlist::Netlist;
 
 use crate::channel::{hash_seed, BoundaryMsg, LinkFault};
-use crate::cut::PartitionedNetlist;
+use crate::cut::{BoundaryLink, PartitionedNetlist};
 use crate::error::PartitionError;
 use crate::runner::{check_stimulus, ChaosPlan, Detection, DetectionKind, FrameOutputs, Stimulus};
 use crate::store::{BarrierRecord, RunStore, WorkerBlob};
@@ -78,6 +84,41 @@ fn spawn_err(detail: impl Into<String>) -> PartitionError {
 
 // ------------------------------------------------------------- worker
 
+/// When a link's values must reach the consumer, derived from the cut.
+/// The cutter splits between pipeline stages, so most links only ever
+/// run from a lower-numbered shard to a higher one; only those that
+/// run back need the consumer to wait and settle after its own tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkSchedule {
+    /// Every port is driven by a constant cell: the value is exchanged
+    /// once, in the batch prologue, and never changes after.
+    Static,
+    /// From a lower-numbered shard: received and staged before the
+    /// consumer ticks, so the tick applies it.
+    Downstream,
+    /// From a higher-numbered shard: received after the consumer's
+    /// tick and applied by a settle.
+    Upstream,
+}
+
+impl LinkSchedule {
+    fn of(parts: &PartitionedNetlist, link: &BoundaryLink) -> LinkSchedule {
+        let original = &parts.original;
+        let constant = |port: &String| {
+            let cut = parts.cut_ports.get(port);
+            let source = cut.and_then(|c| c.bus.bits().first()).and_then(|&n| original.driver(n));
+            source.is_some_and(|d| matches!(original.cell(d).kind, CellKind::Constant { .. }))
+        };
+        if link.ports.iter().all(constant) {
+            LinkSchedule::Static
+        } else if link.from < link.to {
+            LinkSchedule::Downstream
+        } else {
+            LinkSchedule::Upstream
+        }
+    }
+}
+
 /// Everything a worker process needs to rebuild its shard.
 #[derive(Debug, Clone)]
 pub struct WorkerSpec {
@@ -91,8 +132,12 @@ pub struct WorkerSpec {
     pub outputs: Vec<String>,
     /// Ports per outgoing link, in the supervisor's link order.
     pub out_ports: Vec<Vec<String>>,
+    /// Schedule per outgoing link, parallel to `out_ports`.
+    pub out_schedule: Vec<LinkSchedule>,
     /// Ports per incoming link, in the supervisor's link order.
     pub in_ports: Vec<Vec<String>>,
+    /// Schedule per incoming link, parallel to `in_ports`.
+    pub in_schedule: Vec<LinkSchedule>,
     /// Cut fingerprint, announced at admission.
     pub fingerprint: u64,
 }
@@ -114,23 +159,17 @@ impl WorkerSpec {
             return Err(spawn_err(format!("shard {worker} of a {}-way cut", parts.parts())));
         }
         let shard = &parts.shards[worker];
+        let outs = parts.links.iter().filter(|l| l.from == worker);
+        let ins = parts.links.iter().filter(|l| l.to == worker);
         Ok(WorkerSpec {
             worker,
             netlist: shard.netlist.clone(),
             inputs: shard.inputs.clone(),
             outputs: shard.outputs.clone(),
-            out_ports: parts
-                .links
-                .iter()
-                .filter(|l| l.from == worker)
-                .map(|l| l.ports.clone())
-                .collect(),
-            in_ports: parts
-                .links
-                .iter()
-                .filter(|l| l.to == worker)
-                .map(|l| l.ports.clone())
-                .collect(),
+            out_ports: outs.clone().map(|l| l.ports.clone()).collect(),
+            out_schedule: outs.map(|l| LinkSchedule::of(parts, l)).collect(),
+            in_ports: ins.clone().map(|l| l.ports.clone()).collect(),
+            in_schedule: ins.map(|l| LinkSchedule::of(parts, l)).collect(),
             fingerprint: parts.fingerprint(),
         })
     }
@@ -176,20 +215,26 @@ struct InSide {
     queue: VecDeque<BoundaryMsg>,
 }
 
-enum BatchOutcome {
-    /// Barrier report sent.
-    Reported,
-    /// A fault frame was sent; the worker idles until rollback.
-    Faulted,
-    /// A control frame (rollback/shutdown) preempted the batch.
-    Control(Frame),
+/// Why a batch stopped short of its barrier report.
+enum Stop {
+    /// Detected here: send a fault frame, then idle until rollback.
+    Fault(DetectionKind),
+    /// A rollback or shutdown preempted the batch.
+    Control(Box<Frame>),
+    /// The transport failed: the worker exits.
+    Fatal(PartitionError),
 }
 
-/// What one exchange step produced.
-enum Staged {
-    Ok,
-    Fault(DetectionKind),
-    Control(Frame),
+impl From<PartitionError> for Stop {
+    fn from(e: PartitionError) -> Stop {
+        Stop::Fatal(e)
+    }
+}
+
+impl From<dwt_rtl::Error> for Stop {
+    fn from(e: dwt_rtl::Error) -> Stop {
+        Stop::Fault(DetectionKind::Engine(e.to_string()))
+    }
 }
 
 struct ProcWorker<'a, E: Engine> {
@@ -232,14 +277,26 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
             .collect();
     }
 
-    fn exchange_send<T: Transport>(
+    /// Settled values of `ports`. A port the engine does not know is an
+    /// engine fault, never a silent zero.
+    fn peek_all(&self, ports: &[String]) -> Result<Vec<i64>, Stop> {
+        Ok(ports.iter().map(|p| self.engine.peek(p)).collect::<Result<_, _>>()?)
+    }
+
+    /// Sends the `__cut` outputs on every out-link whose schedule
+    /// `due` selects.
+    fn send_links<T: Transport>(
         &mut self,
         transport: &mut T,
         cycle: u64,
-    ) -> Result<(), PartitionError> {
-        for (li, link) in self.out.iter_mut().enumerate() {
-            let values: Vec<i64> =
-                self.spec.out_ports[li].iter().map(|p| self.engine.peek(p).unwrap_or(0)).collect();
+        due: impl Fn(LinkSchedule) -> bool,
+    ) -> Result<(), Stop> {
+        for li in 0..self.out.len() {
+            if !due(self.spec.out_schedule[li]) {
+                continue;
+            }
+            let values = self.peek_all(&self.spec.out_ports[li])?;
+            let link = &mut self.out[li];
             let msg = BoundaryMsg::new(link.seq, cycle, values);
             link.hash = msg.fold_into(link.hash);
             link.seq += 1;
@@ -252,16 +309,31 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
         Ok(())
     }
 
-    /// One routed boundary value for in-link `li`, or whatever
-    /// preempted it.
+    /// Receives, verifies and stages one value on every in-link whose
+    /// schedule `due` selects.
+    fn recv_links<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        due: impl Fn(LinkSchedule) -> bool,
+    ) -> Result<(), Stop> {
+        for li in 0..self.inn.len() {
+            if due(self.spec.in_schedule[li]) {
+                let msg = self.recv_boundary(transport, li)?;
+                self.stage_one(li, &msg)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The next routed boundary value for in-link `li`.
     fn recv_boundary<T: Transport>(
         &mut self,
         transport: &mut T,
         li: usize,
-    ) -> Result<Staged, PartitionError> {
+    ) -> Result<BoundaryMsg, Stop> {
         loop {
             if let Some(msg) = self.inn[li].queue.pop_front() {
-                return Ok(self.stage_one(li, msg));
+                return Ok(msg);
             }
             match transport.recv_timeout(self.config.exchange_timeout) {
                 Ok(Frame::Boundary { generation, link, msg }) => {
@@ -270,66 +342,44 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
                     }
                     match self.inn.get_mut(link as usize) {
                         Some(side) => side.queue.push_back(msg),
-                        None => return Ok(Staged::Fault(DetectionKind::Sequence)),
+                        None => return Err(Stop::Fault(DetectionKind::Sequence)),
                     }
                 }
                 Ok(frame @ (Frame::Rollback { .. } | Frame::Shutdown)) => {
-                    return Ok(Staged::Control(frame))
+                    return Err(Stop::Control(Box::new(frame)))
                 }
                 Ok(_) => continue, // unexpected control frame: drop
-                Err(RecvError::Timeout) => return Ok(Staged::Fault(DetectionKind::Stall)),
+                Err(RecvError::Timeout) => return Err(Stop::Fault(DetectionKind::Stall)),
                 Err(RecvError::Disconnected) => {
-                    return Err(transport_err("supervisor disconnected mid-exchange"))
+                    return Err(Stop::Fatal(transport_err("supervisor disconnected mid-exchange")))
                 }
-                Err(RecvError::Protocol(e)) => return Err(e),
+                Err(RecvError::Protocol(e)) => return Err(Stop::Fatal(e)),
             }
         }
     }
 
     /// Verifies one boundary message and stages its values.
-    fn stage_one(&mut self, li: usize, msg: BoundaryMsg) -> Staged {
+    fn stage_one(&mut self, li: usize, msg: &BoundaryMsg) -> Result<(), Stop> {
         if let Err(fault) = msg.verify(self.inn[li].seq) {
-            return Staged::Fault(match fault {
+            return Err(Stop::Fault(match fault {
                 LinkFault::Sequence { .. } => DetectionKind::Sequence,
                 LinkFault::Checksum { .. } => DetectionKind::Checksum,
-            });
+            }));
         }
         let side = &mut self.inn[li];
         side.hash = msg.fold_into(side.hash);
         side.seq += 1;
         for (port, &value) in self.spec.in_ports[li].iter().zip(&msg.values) {
             if self.engine.set_input(port, value).is_err() {
-                return Staged::Fault(DetectionKind::Checksum);
+                return Err(Stop::Fault(DetectionKind::Checksum));
             }
         }
-        Staged::Ok
+        Ok(())
     }
 
-    /// Receives, verifies and stages one value per incoming link.
-    fn exchange_recv<T: Transport>(&mut self, transport: &mut T) -> Result<Staged, PartitionError> {
-        for li in 0..self.inn.len() {
-            match self.recv_boundary(transport, li)? {
-                Staged::Ok => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Staged::Ok)
-    }
-
-    fn send_fault<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        kind: DetectionKind,
-    ) -> Result<BatchOutcome, PartitionError> {
-        transport.send(&Frame::Fault {
-            worker: self.spec.worker as u32,
-            generation: self.generation,
-            kind,
-        })?;
-        Ok(BatchOutcome::Faulted)
-    }
-
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    /// Runs one batch and sends its barrier report, or a fault frame.
+    /// Returns the control frame that preempted it, if one did.
+    #[allow(clippy::too_many_arguments)]
     fn run_batch<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -339,18 +389,51 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
         inputs: &[Vec<i64>],
         faults: &[(u64, FaultSpec)],
         stall: Option<(u64, u64)>,
-    ) -> Result<BatchOutcome, PartitionError> {
+    ) -> Result<Option<Frame>, PartitionError> {
+        let (worker, generation) = (self.spec.worker as u32, self.generation);
+        let report =
+            match self.run_cycles(transport, start, cycles, prologue, inputs, faults, stall) {
+                Ok(outputs) => Frame::BarrierReport {
+                    worker,
+                    generation,
+                    start,
+                    cycles,
+                    outputs,
+                    out_hashes: self.out.iter().map(|l| l.hash).collect(),
+                    in_hashes: self.inn.iter().map(|l| l.hash).collect(),
+                    snapshot: self.engine.snapshot().to_bytes(),
+                },
+                Err(Stop::Fault(kind)) => Frame::Fault { worker, generation, kind },
+                Err(Stop::Control(frame)) => return Ok(Some(*frame)),
+                Err(Stop::Fatal(e)) => return Err(e),
+            };
+        transport.send(&report)?;
+        Ok(None)
+    }
+
+    /// Virtual cycles `start..start + cycles`; returns one output row
+    /// per cycle.
+    #[allow(clippy::too_many_arguments)]
+    fn run_cycles<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        start: u64,
+        cycles: u64,
+        prologue: bool,
+        inputs: &[Vec<i64>],
+        faults: &[(u64, FaultSpec)],
+        stall: Option<(u64, u64)>,
+    ) -> Result<Vec<Vec<i64>>, Stop> {
+        use LinkSchedule::{Downstream, Static, Upstream};
         if prologue {
-            self.exchange_send(transport, start)?;
-            match self.exchange_recv(transport)? {
-                Staged::Ok => {}
-                Staged::Fault(kind) => return self.send_fault(transport, kind),
-                Staged::Control(frame) => return Ok(BatchOutcome::Control(frame)),
-            }
-            if let Err(e) = self.engine.try_settle() {
-                return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
-            }
+            // The power-on boundary values on every link, and the only
+            // exchange a static link ever makes. All sends precede all
+            // receives, so no link graph can deadlock here.
+            self.send_links(transport, start, |_| true)?;
+            self.recv_links(transport, |_| true)?;
+            self.engine.try_settle()?;
         }
+        let settle = self.spec.in_schedule.contains(&Upstream);
         let mut outputs = Vec::with_capacity(cycles as usize);
         for offset in 0..cycles {
             let cycle = start + offset;
@@ -366,47 +449,26 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
                     cycle,
                 })?;
             }
-            for (i, port) in self.spec.inputs.iter().enumerate() {
-                let value = inputs[offset as usize][i];
-                if let Err(e) = self.engine.set_input(port, value) {
-                    return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
-                }
+            for (port, &value) in self.spec.inputs.iter().zip(&inputs[offset as usize]) {
+                self.engine.set_input(port, value)?;
             }
             for (due, spec) in faults {
                 if *due == offset {
-                    let rebased = spec.clone().rebase(self.engine.cycle());
-                    if let Err(e) = self.engine.inject(&rebased) {
-                        return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
-                    }
+                    self.engine.inject(&spec.clone().rebase(self.engine.cycle()))?;
                 }
             }
-            if let Err(e) = self.engine.try_tick() {
-                return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
+            // Shard w waits before its tick only on shards below it,
+            // and shard 0 never does, so the lockstep cannot deadlock.
+            self.recv_links(transport, |s| s == Downstream)?;
+            self.engine.try_tick()?;
+            self.send_links(transport, cycle, |s| s != Static)?;
+            self.recv_links(transport, |s| s == Upstream)?;
+            if settle {
+                self.engine.try_settle()?;
             }
-            self.exchange_send(transport, cycle)?;
-            match self.exchange_recv(transport)? {
-                Staged::Ok => {}
-                Staged::Fault(kind) => return self.send_fault(transport, kind),
-                Staged::Control(frame) => return Ok(BatchOutcome::Control(frame)),
-            }
-            if let Err(e) = self.engine.try_settle() {
-                return self.send_fault(transport, DetectionKind::Engine(e.to_string()));
-            }
-            let row: Vec<i64> =
-                self.spec.outputs.iter().map(|p| self.engine.peek(p).unwrap_or(0)).collect();
-            outputs.push(row);
+            outputs.push(self.peek_all(&self.spec.outputs)?);
         }
-        transport.send(&Frame::BarrierReport {
-            worker: self.spec.worker as u32,
-            generation: self.generation,
-            start,
-            cycles,
-            outputs,
-            out_hashes: self.out.iter().map(|l| l.hash).collect(),
-            in_hashes: self.inn.iter().map(|l| l.hash).collect(),
-            snapshot: self.engine.snapshot().to_bytes(),
-        })?;
-        Ok(BatchOutcome::Reported)
+        Ok(outputs)
     }
 
     /// Applies a rollback frame: power-on reset (empty snapshot) or
@@ -473,12 +535,8 @@ where
             }
             Frame::Batch { generation, start, cycles, prologue, inputs, faults, stall } => {
                 worker.generation = generation;
-                match worker
-                    .run_batch(transport, start, cycles, prologue, &inputs, &faults, stall)?
-                {
-                    BatchOutcome::Reported | BatchOutcome::Faulted => {}
-                    BatchOutcome::Control(frame) => pending = Some(frame),
-                }
+                pending = worker
+                    .run_batch(transport, start, cycles, prologue, &inputs, &faults, stall)?;
             }
             // Under thread isolation a producer can hand a value over
             // before this worker reads its own batch frame: keep it.
@@ -633,6 +691,12 @@ pub(crate) trait Fleet {
     fn send(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError>;
     /// Arms worker `w`'s chaos for the batch about to be handed out.
     fn arm(&mut self, w: usize, chaos: LinkChaos);
+    /// How long after a batch's first barrier report a worker that has
+    /// not reported counts as a straggler. `None`: heartbeats police
+    /// liveness instead.
+    fn straggler_timeout(&self) -> Option<Duration> {
+        None
+    }
     /// Worker `w`'s heartbeat reached the supervisor. Returns whether
     /// an armed kill struck it there.
     fn heartbeat(&mut self, _w: usize, _cycle: u64) -> bool {
@@ -1274,14 +1338,25 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         let n = self.parts.parts();
         let mut reports: Vec<Option<Report>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
+        let straggler =
+            self.fleet.straggler_timeout().map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX));
+        // Clock tick of the batch's first report.
+        let mut first_report: Option<u64> = None;
         loop {
             // Liveness first, so a deadline born expired fails the
             // batch before any report can land: a worker silent for
-            // the whole window is dead.
+            // the whole window is dead. A worker no peer waits on is
+            // also late once it trails the first report by the
+            // straggler timeout.
             let now = self.now();
+            let trailing = first_report
+                .zip(straggler)
+                .is_some_and(|(first, limit)| now.saturating_sub(first) >= limit);
             let silent: Vec<usize> = (0..n)
                 .filter(|&w| reports[w].is_none())
-                .filter(|&w| now.saturating_sub(self.last_seen[w]) >= self.liveness_ticks)
+                .filter(|&w| {
+                    trailing || now.saturating_sub(self.last_seen[w]) >= self.liveness_ticks
+                })
                 .collect();
             for &w in &silent {
                 self.detect(Some(w), cursor, DetectionKind::Stall);
@@ -1354,6 +1429,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                     if reports[worker].is_none() {
                         received += 1;
                     }
+                    first_report.get_or_insert(self.last_seen[worker]);
                     reports[worker] = Some(Report { outputs, out_hashes, in_hashes, snapshot });
                 }
                 Frame::Fault { generation, kind, .. } if generation == self.generation => {
@@ -1553,6 +1629,77 @@ mod tests {
         assert_eq!(outs, parts.links.len());
         assert_eq!(ins, parts.links.len());
         assert!(matches!(WorkerSpec::from_cut(&parts, 2), Err(PartitionError::Spawn { .. })));
+    }
+
+    #[test]
+    fn link_schedules_follow_the_cut() {
+        use dwt_arch::designs::Design;
+        use LinkSchedule::{Downstream, Static, Upstream};
+        // (from, to) -> schedule, as the consumer and the producer see it.
+        let schedules = |design: Design, parts: usize| {
+            let netlist = design.build().unwrap().netlist;
+            let cut = partition(&netlist, parts, &CutOptions::default()).unwrap();
+            let (mut consumed, mut produced) = (BTreeMap::new(), BTreeMap::new());
+            for w in 0..parts {
+                let spec = WorkerSpec::from_cut(&cut, w).unwrap();
+                let ins = cut.links.iter().filter(|l| l.to == w);
+                consumed.extend(ins.zip(spec.in_schedule).map(|(l, s)| ((l.from, l.to), s)));
+                let outs = cut.links.iter().filter(|l| l.from == w);
+                produced.extend(outs.zip(spec.out_schedule).map(|(l, s)| ((l.from, l.to), s)));
+            }
+            assert_eq!(consumed, produced);
+            assert_eq!(consumed.len(), cut.links.len());
+            consumed
+        };
+        let d5 = schedules(Design::D5, 2);
+        assert_eq!(d5, BTreeMap::from([((0, 1), Downstream), ((1, 0), Static)]));
+        let d1 = schedules(Design::D1, 4);
+        assert_eq!(d1.get(&(2, 1)), Some(&Upstream));
+        assert_eq!(d1.get(&(0, 1)), Some(&Downstream));
+    }
+
+    /// A port the engine cannot read is an engine fault on the wire,
+    /// never a silent zero in a boundary value or a barrier report.
+    #[test]
+    fn unreadable_out_port_is_a_fault_frame() {
+        let netlist = pipeline(4);
+        let parts = partition(&netlist, 2, &CutOptions::default()).unwrap();
+        let producer = parts.links[0].from;
+        let mut spec = WorkerSpec::from_cut(&parts, producer).unwrap();
+        spec.out_ports[0][0] = "no_such_port".into();
+        let (mut worker_end, mut hub) = ChannelTransport::pair();
+        let handle = std::thread::spawn(move || {
+            run_worker::<Simulator, _>(&spec, &mut worker_end, &WorkerConfig::default())
+        });
+        assert!(matches!(hub.recv_timeout(Duration::from_secs(5)), Ok(Frame::Hello { .. })));
+        let stim = stimulus(4);
+        let shard = &parts.shards[producer];
+        hub.send(&Frame::Batch {
+            generation: 0,
+            start: 0,
+            cycles: 4,
+            prologue: true,
+            inputs: (0..4)
+                .map(|c| shard.inputs.iter().map(|p| stim.inputs[p][c]).collect())
+                .collect(),
+            faults: Vec::new(),
+            stall: None,
+        })
+        .unwrap();
+        let fault = loop {
+            match hub.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Frame::Boundary { .. } | Frame::Heartbeat { .. } => {}
+                other => break other,
+            }
+        };
+        match fault {
+            Frame::Fault { kind: DetectionKind::Engine(detail), .. } => {
+                assert!(detail.contains("no_such_port"), "{detail}");
+            }
+            other => panic!("expected an engine fault, got {other:?}"),
+        }
+        hub.send(&Frame::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
     }
 
     /// Drives two real `run_worker` loops over channel transports with

@@ -125,8 +125,8 @@ pub struct ChaosPlan {
     /// that virtual cycle.
     pub kills: Vec<(usize, u64)>,
     /// `(worker, cycle, pause)`: the worker sleeps that long before
-    /// ticking — longer than the watchdog means its peers declare it
-    /// a straggler.
+    /// ticking — longer than the watchdog means a waiting peer or the
+    /// supervisor declares it a straggler.
     pub stalls: Vec<(usize, u64, Duration)>,
     /// In-flight message corruptions.
     pub corruptions: Vec<Corruption>,
@@ -135,7 +135,10 @@ pub struct ChaosPlan {
     pub seu: Option<SeuChaos>,
 }
 
-/// One in-flight message corruption.
+/// One in-flight message corruption. A static link (see
+/// [`LinkSchedule`](crate::proc::LinkSchedule)) carries no message
+/// after the prologue, so a corruption aimed at one mid-frame never
+/// fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Corruption {
     /// Producer shard.
@@ -167,7 +170,8 @@ pub struct RunnerConfig {
     /// replays and more snapshot overhead.
     pub snapshot_interval: u64,
     /// How long a worker waits on a boundary receive before declaring
-    /// the producer a straggler.
+    /// the producer a straggler, and how long after a batch's first
+    /// barrier report the supervisor waits for the rest.
     pub watchdog: Duration,
     /// Rollback-and-replay budget per frame before degrading to the
     /// single-engine rung.
@@ -282,6 +286,12 @@ impl<E: Engine + 'static> Fleet for Threads<E> {
         self.inboxes[w]
             .send(frame.encode())
             .map_err(|_| PartitionError::Transport { detail: "inbox closed".into() })
+    }
+
+    /// Nobody waits on a sink shard, so a stalled one would otherwise
+    /// hold the batch until its deadline.
+    fn straggler_timeout(&self) -> Option<Duration> {
+        Some(self.config.exchange_timeout)
     }
 
     fn arm(&mut self, w: usize, chaos: LinkChaos) {
