@@ -29,6 +29,8 @@
 //! 4. [`runner`] — [`PartitionRunner`] runs the same workers on one
 //!    thread per shard, their boundary values going straight from
 //!    producer to consumer over the in-process links of [`transport`].
+//!    The threads outlive the frame: each later frame resets them to
+//!    power-on instead of spawning and rebuilding them.
 //!    When the recovery budget is exhausted the runner degrades to a
 //!    single-engine run, then to a caller-supplied software-golden
 //!    fallback, before giving up with a typed error.
@@ -56,5 +58,5 @@ pub use runner::{
     GoldenFallback, PartitionRunner, Rung, RunnerConfig, SeuChaos, Stimulus,
 };
 pub use store::{crc32, BarrierRecord, FsckReport, RunStore, WorkerBlob};
-pub use transport::{ChannelTransport, RecvError, SocketTransport, Transport};
+pub use transport::{RecvError, SocketTransport, Transport};
 pub use wire::Frame;

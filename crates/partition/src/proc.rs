@@ -1,8 +1,9 @@
 //! The partition supervisor and its workers: one protocol, two
 //! isolations.
 //!
-//! * **Workers** ([`run_worker`]) rebuild their shard, announce
-//!   themselves with a [`Frame::Hello`] carrying the cut
+//! * **Workers** ([`run_worker`]) rebuild their shard, snapshot its
+//!   engine as built, announce themselves with a [`Frame::Hello`]
+//!   carrying the cut
 //!   [`fingerprint`](PartitionedNetlist::fingerprint), and then speak
 //!   the framed wire protocol: batches in, boundary values and barrier
 //!   reports out, heartbeats while executing. Each link has a
@@ -20,16 +21,26 @@
 //!   ends of every link hash identically, and — when an oracle is
 //!   supplied — the outputs match it. It polices per-worker liveness
 //!   on a [`Clock`]-driven deadline and, for fleets whose workers send
-//!   no heartbeat, flags a worker that trails the batch's first report
-//!   by the exchange timeout as a straggler.
+//!   no heartbeat, reads each worker's progress count instead and flags
+//!   a worker that shows no progress for the exchange timeout as a
+//!   straggler.
 //! * **Recovery** is generation-tagged rollback. Any crash, stall,
 //!   protocol violation, checksum or sequence fault, hash or oracle
 //!   mismatch aborts the batch: the supervisor bumps the generation,
 //!   respawns dead workers, restores everyone from the last
 //!   consistent barrier — the durable [`RunStore`] when configured,
-//!   the in-memory barrier otherwise — and replays. Both ends drop
-//!   frames tagged with older generations, so a stale in-flight
-//!   boundary value can never alias its replayed successor.
+//!   the in-memory barrier otherwise, and the worker's power-on
+//!   snapshot before the first — and replays. Both ends drop frames
+//!   tagged with older generations, so a stale in-flight boundary
+//!   value can never alias its replayed successor. A worker whose
+//!   connection closes mid-rollback is respawned at once.
+//! * **Fleet lifetime**: the fleet, its event channel, connection ids
+//!   and generation live in a `LiveFleet`, which may outlive the
+//!   per-frame `Supervisor` on top. A fleet's first frame spawns it;
+//!   a later one starts with a power-on rollback, so a
+//!   [`PartitionRunner`](crate::runner::PartitionRunner) keeps its
+//!   shard threads from frame to frame. A [`ProcSupervisor`] run
+//!   launches and reaps its own processes.
 //! * **Isolation** is a `Fleet`. [`ProcSupervisor`] forks one
 //!   `dwt_partition_worker` OS process per shard and is a hub: boundary
 //!   frames come to it over Unix-domain sockets and it forwards them,
@@ -181,8 +192,11 @@ pub struct WorkerConfig {
     /// Send a heartbeat every this many cycles while executing.
     pub heartbeat_every: u64,
     /// How long to wait for the next control frame before concluding
-    /// the supervisor is gone.
-    pub idle_timeout: Duration,
+    /// the supervisor is gone. `None` waits with no deadline: a thread
+    /// worker idles between frames until it is told to shut down or its
+    /// inbox closes, while a worker process keeps a deadline so a dead
+    /// supervisor leaves no orphan behind.
+    pub idle_timeout: Option<Duration>,
     /// How long to wait for one boundary value mid-exchange before
     /// reporting a stall.
     pub exchange_timeout: Duration,
@@ -194,7 +208,7 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
             heartbeat_every: 1,
-            idle_timeout: Duration::from_secs(30),
+            idle_timeout: Some(Duration::from_secs(30)),
             exchange_timeout: Duration::from_secs(5),
             event_cap: None,
         }
@@ -241,24 +255,24 @@ struct ProcWorker<'a, E: Engine> {
     spec: &'a WorkerSpec,
     config: &'a WorkerConfig,
     engine: E,
+    /// The engine as built. A snapshot holds registers, RAM, staged
+    /// inputs and armed faults, so restoring this one is a full
+    /// power-on reset, without building the engine again.
+    power_on: E::Snapshot,
     out: Vec<OutSide>,
     inn: Vec<InSide>,
     generation: u64,
 }
 
 impl<'a, E: Engine> ProcWorker<'a, E> {
-    fn fresh_engine(spec: &WorkerSpec, config: &WorkerConfig) -> Result<E, PartitionError> {
+    fn new(spec: &'a WorkerSpec, config: &'a WorkerConfig) -> Result<Self, PartitionError> {
         let mut engine = E::from_netlist(spec.netlist.clone())?;
         if let Some(cap) = config.event_cap {
             engine.set_event_cap(cap);
         }
-        Ok(engine)
-    }
-
-    fn new(spec: &'a WorkerSpec, config: &'a WorkerConfig) -> Result<Self, PartitionError> {
-        let engine = Self::fresh_engine(spec, config)?;
-        let mut worker =
-            ProcWorker { spec, config, engine, out: Vec::new(), inn: Vec::new(), generation: 0 };
+        let power_on = engine.snapshot();
+        let (out, inn) = (Vec::new(), Vec::new());
+        let mut worker = ProcWorker { spec, config, engine, power_on, out, inn, generation: 0 };
         worker.reset_links();
         Ok(worker)
     }
@@ -476,7 +490,7 @@ impl<'a, E: Engine> ProcWorker<'a, E> {
     fn apply_rollback(&mut self, generation: u64, snapshot: &[u8]) -> Result<(), PartitionError> {
         self.generation = generation;
         if snapshot.is_empty() {
-            self.engine = Self::fresh_engine(self.spec, self.config)?;
+            self.engine.restore(&self.power_on)?;
         } else {
             let decoded = <E::Snapshot as PortableSnapshot>::from_bytes(snapshot)?;
             self.engine.restore(&decoded)?;
@@ -516,7 +530,7 @@ where
     loop {
         let frame = match pending.take() {
             Some(frame) => frame,
-            None => match transport.recv_timeout(config.idle_timeout) {
+            None => match transport.recv_timeout(config.idle_timeout.unwrap_or(Duration::MAX)) {
                 Ok(frame) => frame,
                 Err(RecvError::Timeout) => return Err(transport_err("supervisor went quiet")),
                 Err(RecvError::Disconnected) => return Ok(()),
@@ -682,7 +696,8 @@ pub struct ProcReport {
 /// How the supervisor's workers are isolated: OS processes behind
 /// sockets ([`Processes`]) or threads behind in-process links (the
 /// thread fleet in [`runner`](crate::runner)). The [`Supervisor`] loop
-/// on top is the same for both.
+/// on top is the same for both. Dropping a fleet stops and reaps every
+/// worker it still runs.
 pub(crate) trait Fleet {
     /// Starts worker `w`. Its frames reach the supervisor on `events`,
     /// tagged with `conn`.
@@ -691,11 +706,17 @@ pub(crate) trait Fleet {
     fn send(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError>;
     /// Arms worker `w`'s chaos for the batch about to be handed out.
     fn arm(&mut self, w: usize, chaos: LinkChaos);
-    /// How long after a batch's first barrier report a worker that has
-    /// not reported counts as a straggler. `None`: heartbeats police
+    /// How long a worker that has not reported may show no sign of life
+    /// before it counts as a straggler. `None`: heartbeats police
     /// liveness instead.
     fn straggler_timeout(&self) -> Option<Duration> {
         None
+    }
+    /// Cycles worker `w` has started, for a fleet that keeps its
+    /// workers' heartbeats to itself. A count that moves is a sign of
+    /// life, as a heartbeat frame is.
+    fn progress(&self, _w: usize) -> u64 {
+        0
     }
     /// Worker `w`'s heartbeat reached the supervisor. Returns whether
     /// an armed kill struck it there.
@@ -704,8 +725,6 @@ pub(crate) trait Fleet {
     }
     /// Stops and reaps worker `w` (idempotent).
     fn kill(&mut self, w: usize);
-    /// Stops every worker and releases the fleet.
-    fn shutdown(&mut self);
 }
 
 struct WorkerProc {
@@ -878,11 +897,13 @@ impl Fleet for Processes<'_> {
             }
         }
     }
+}
 
+impl Drop for Processes<'_> {
     /// Clean teardown: shutdown frames, a short grace period, SIGKILL
     /// stragglers, reap everything, remove the socket dir if we own
     /// it.
-    fn shutdown(&mut self) {
+    fn drop(&mut self) {
         for proc in self.procs.iter_mut().flatten() {
             let _ = proc.writer.send(&Frame::Shutdown);
         }
@@ -940,11 +961,12 @@ impl<'a> ProcSupervisor<'a> {
                 .collect(),
             ..ChaosPlan::default()
         };
+        // The processes live for this one run: dropping the fleet at
+        // its end shuts them down.
         let fleet = Processes::new(self.parts, &self.launcher, &self.config)?;
-        let mut supervisor = Supervisor::new(self.parts, fleet, &self.config, &chaos, None);
-        let result = supervisor.run(stim);
-        supervisor.fleet.shutdown();
-        result
+        let mut live = LiveFleet::new(fleet, self.parts.parts());
+        let mut supervisor = Supervisor::new(self.parts, &mut live, &self.config, &chaos, None);
+        supervisor.run(stim)
     }
 }
 
@@ -974,29 +996,59 @@ pub(crate) fn out_routes(parts: &PartitionedNetlist) -> Vec<Vec<(usize, u32)>> {
     routes
 }
 
-/// The one partition supervisor: batch hand-out, barrier check,
-/// generation-tagged rollback and respawn, over a [`Fleet`] of either
-/// isolation.
-pub(crate) struct Supervisor<'a, F: Fleet> {
-    parts: &'a PartitionedNetlist,
-    pub(crate) fleet: F,
-    config: &'a ProcConfig,
-    chaos: &'a ChaosPlan,
-    /// Checked at every barrier when supplied.
-    oracle: Option<&'a FrameOutputs>,
-    fingerprint: u64,
-    store: Option<RunStore>,
+/// The part of a supervisor that outlives a frame: the fleet and what
+/// tells its workers' traffic apart. A
+/// [`PartitionRunner`](crate::runner::PartitionRunner) keeps one for
+/// its whole life, so only its first frame spawns workers and every
+/// later one starts with a power-on rollback; a [`ProcSupervisor`] run
+/// builds its own.
+pub(crate) struct LiveFleet<F> {
+    fleet: F,
     event_tx: Sender<Event>,
     events: Receiver<Event>,
     /// Connection id per worker; events from an older connection of a
     /// respawned worker are dropped by tag.
     conns: Vec<u64>,
     alive: Vec<bool>,
+    /// Zero until the fleet is first launched.
+    next_conn: u64,
+    /// Rollback generation. It keeps rising from frame to frame, so a
+    /// value left in flight by an earlier frame's aborted batch is
+    /// dropped by its tag.
+    generation: u64,
+}
+
+impl<F> LiveFleet<F> {
+    pub(crate) fn new(fleet: F, workers: usize) -> Self {
+        let (event_tx, events) = mpsc::channel();
+        LiveFleet {
+            fleet,
+            event_tx,
+            events,
+            conns: vec![0; workers],
+            alive: vec![false; workers],
+            next_conn: 0,
+            generation: 0,
+        }
+    }
+}
+
+/// The one partition supervisor: batch hand-out, barrier check,
+/// generation-tagged rollback and respawn, over a [`Fleet`] of either
+/// isolation. It lives for one frame, on a [`LiveFleet`] that may
+/// outlive it.
+pub(crate) struct Supervisor<'a, F: Fleet> {
+    parts: &'a PartitionedNetlist,
+    live: &'a mut LiveFleet<F>,
+    config: &'a ProcConfig,
+    chaos: &'a ChaosPlan,
+    /// Checked at every barrier when supplied.
+    oracle: Option<&'a FrameOutputs>,
+    fingerprint: u64,
+    store: Option<RunStore>,
     /// Clock tick of the last frame seen from each worker.
     last_seen: Vec<u64>,
-    next_conn: u64,
     out_route: Vec<Vec<(usize, u32)>>,
-    generation: u64,
     liveness_ticks: u64,
     fired_kills: Vec<bool>,
     fired_stalls: Vec<bool>,
@@ -1015,13 +1067,12 @@ pub(crate) struct Supervisor<'a, F: Fleet> {
 impl<'a, F: Fleet> Supervisor<'a, F> {
     pub(crate) fn new(
         parts: &'a PartitionedNetlist,
-        fleet: F,
+        live: &'a mut LiveFleet<F>,
         config: &'a ProcConfig,
         chaos: &'a ChaosPlan,
         oracle: Option<&'a FrameOutputs>,
     ) -> Self {
         let n = parts.parts();
-        let (event_tx, events) = mpsc::channel();
         let seu = (0..n)
             .map(|w| {
                 let plan = chaos.seu.as_ref()?;
@@ -1038,20 +1089,14 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             .collect();
         Supervisor {
             parts,
-            fleet,
+            live,
             config,
             chaos,
             oracle,
             fingerprint: parts.fingerprint(),
             store: None,
-            event_tx,
-            events,
-            conns: vec![0; n],
-            alive: vec![false; n],
             last_seen: vec![0; n],
-            next_conn: 0,
             out_route: out_routes(parts),
-            generation: 0,
             liveness_ticks: u64::try_from(config.liveness.as_nanos()).unwrap_or(u64::MAX),
             fired_kills: vec![false; chaos.kills.len()],
             fired_stalls: vec![false; chaos.stalls.len()],
@@ -1075,18 +1120,19 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
     }
 
     fn spawn(&mut self, w: usize) -> Result<(), PartitionError> {
-        let conn = self.next_conn;
-        self.next_conn += 1;
-        self.fleet.spawn(w, conn, &self.event_tx)?;
-        self.conns[w] = conn;
-        self.alive[w] = true;
+        let live = &mut *self.live;
+        let conn = live.next_conn;
+        live.next_conn += 1;
+        live.fleet.spawn(w, conn, &live.event_tx)?;
+        live.conns[w] = conn;
+        live.alive[w] = true;
         self.last_seen[w] = self.now();
         Ok(())
     }
 
     fn kill(&mut self, w: usize) {
-        self.alive[w] = false;
-        self.fleet.kill(w);
+        self.live.alive[w] = false;
+        self.live.fleet.kill(w);
     }
 
     /// Respawns worker `w` against the bounded budget.
@@ -1136,15 +1182,21 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             }
         }
 
-        // Launch the fleet.
-        for w in 0..n {
-            self.spawn(w)?;
+        // A fleet's first frame launches it; a later frame resets the
+        // fleet to power-on, respawning any worker that died since. A
+        // resumed run seeds every worker from the durable barrier
+        // instead.
+        let launched = self.live.next_conn > 0;
+        if !launched {
+            for w in 0..n {
+                self.spawn(w)?;
+            }
         }
-        // A resumed run seeds every worker from the durable barrier
-        // before the first batch.
         if let Some(blobs) = snapshots.clone() {
             let blobs: Vec<Option<Vec<u8>>> = blobs.into_iter().map(Some).collect();
             self.rollback_to(cursor, &blobs)?;
+        } else if launched {
+            self.rollback_to(0, &vec![None; n])?;
         }
 
         let mut barriers: u64 = 0;
@@ -1311,9 +1363,9 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                     }
                 }
             }
-            self.fleet.arm(w, armed);
+            self.live.fleet.arm(w, armed);
             let frame = Frame::Batch {
-                generation: self.generation,
+                generation: self.live.generation,
                 start: cursor,
                 cycles: batch_len,
                 prologue,
@@ -1324,7 +1376,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             self.last_seen[w] = self.now();
             // A send failure means the worker died; the collect loop
             // will see the close or the silence.
-            let _ = self.fleet.send(w, &frame);
+            let _ = self.live.fleet.send(w, &frame);
         }
         self.attempt_clock += batch_len;
     }
@@ -1338,24 +1390,32 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         let n = self.parts.parts();
         let mut reports: Vec<Option<Report>> = (0..n).map(|_| None).collect();
         let mut received = 0usize;
-        let straggler =
-            self.fleet.straggler_timeout().map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX));
-        // Clock tick of the batch's first report.
-        let mut first_report: Option<u64> = None;
+        let straggler = self
+            .live
+            .fleet
+            .straggler_timeout()
+            .map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX));
+        let mut progress: Vec<u64> = (0..n).map(|w| self.live.fleet.progress(w)).collect();
         loop {
             // Liveness first, so a deadline born expired fails the
             // batch before any report can land: a worker silent for
-            // the whole window is dead. A worker no peer waits on is
-            // also late once it trails the first report by the
-            // straggler timeout.
+            // the whole window is dead. A worker that shows no sign of
+            // life for the straggler timeout is late too, even when no
+            // peer waits on it; one that is merely slower than a shard
+            // running ahead of it is not.
             let now = self.now();
-            let trailing = first_report
-                .zip(straggler)
-                .is_some_and(|(first, limit)| now.saturating_sub(first) >= limit);
+            for (w, seen) in progress.iter_mut().enumerate() {
+                let count = self.live.fleet.progress(w);
+                if count != *seen {
+                    *seen = count;
+                    self.last_seen[w] = now;
+                }
+            }
             let silent: Vec<usize> = (0..n)
                 .filter(|&w| reports[w].is_none())
                 .filter(|&w| {
-                    trailing || now.saturating_sub(self.last_seen[w]) >= self.liveness_ticks
+                    let quiet = now.saturating_sub(self.last_seen[w]);
+                    straggler.is_some_and(|limit| quiet >= limit) || quiet >= self.liveness_ticks
                 })
                 .collect();
             for &w in &silent {
@@ -1368,35 +1428,36 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             if received == n {
                 return reports.into_iter().collect();
             }
-            let (worker, conn, frame) = match self.events.recv_timeout(Duration::from_millis(10)) {
-                Ok(Event::Frame { worker, conn, frame }) => (worker, conn, frame),
-                Ok(Event::Closed { worker, conn }) => {
-                    if self.conns[worker] == conn {
-                        self.alive[worker] = false;
-                        self.detect(Some(worker), cursor, DetectionKind::Crash);
-                        return None;
+            let (worker, conn, frame) =
+                match self.live.events.recv_timeout(Duration::from_millis(10)) {
+                    Ok(Event::Frame { worker, conn, frame }) => (worker, conn, frame),
+                    Ok(Event::Closed { worker, conn }) => {
+                        if self.live.conns[worker] == conn {
+                            self.live.alive[worker] = false;
+                            self.detect(Some(worker), cursor, DetectionKind::Crash);
+                            return None;
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                Ok(Event::Malformed { worker, conn }) => {
-                    if self.conns[worker] == conn {
-                        // Garbage on the control stream: framing is
-                        // lost, the worker cannot be trusted.
-                        self.detect(Some(worker), cursor, DetectionKind::Checksum);
-                        self.kill(worker);
-                        return None;
+                    Ok(Event::Malformed { worker, conn }) => {
+                        if self.live.conns[worker] == conn {
+                            // Garbage on the control stream: framing is
+                            // lost, the worker cannot be trusted.
+                            self.detect(Some(worker), cursor, DetectionKind::Checksum);
+                            self.kill(worker);
+                            return None;
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            };
-            if self.conns[worker] != conn {
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                };
+            if self.live.conns[worker] != conn {
                 continue; // stale connection
             }
             self.last_seen[worker] = self.now();
             match frame {
-                Frame::Boundary { generation, link, msg } if generation == self.generation => {
+                Frame::Boundary { generation, link, msg } if generation == self.live.generation => {
                     let Some(&(consumer, in_idx)) = self.out_route[worker].get(link as usize)
                     else {
                         self.detect(Some(worker), cursor, DetectionKind::Sequence);
@@ -1405,15 +1466,16 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                     // A failed forward surfaces as the consumer's own
                     // silence or close.
                     let routed = Frame::Boundary { generation, link: in_idx, msg };
-                    let _ = self.fleet.send(consumer, &routed);
+                    let _ = self.live.fleet.send(consumer, &routed);
                 }
                 // A worker killed mid-window may already have sent its
                 // report; a fast producer can finish the batch before the
                 // kill lands. Fail the batch here.
                 Frame::Heartbeat { generation, cycle, .. }
-                    if generation == self.generation && self.fleet.heartbeat(worker, cycle) =>
+                    if generation == self.live.generation
+                        && self.live.fleet.heartbeat(worker, cycle) =>
                 {
-                    self.alive[worker] = false;
+                    self.live.alive[worker] = false;
                     self.detect(Some(worker), cursor, DetectionKind::Crash);
                     return None;
                 }
@@ -1425,14 +1487,13 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                     in_hashes,
                     snapshot,
                     ..
-                } if generation == self.generation && start == cursor => {
+                } if generation == self.live.generation && start == cursor => {
                     if reports[worker].is_none() {
                         received += 1;
                     }
-                    first_report.get_or_insert(self.last_seen[worker]);
                     reports[worker] = Some(Report { outputs, out_hashes, in_hashes, snapshot });
                 }
-                Frame::Fault { generation, kind, .. } if generation == self.generation => {
+                Frame::Fault { generation, kind, .. } if generation == self.live.generation => {
                     self.detect(Some(worker), cursor, kind);
                     return None;
                 }
@@ -1476,11 +1537,24 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         ok
     }
 
-    /// Generation-bump rollback: respawn the dead, restore everyone to
-    /// `cycle` (power-on where a blob is `None`), await every ack.
+    /// Generation-bump rollback: restore everyone to `cycle` (power-on
+    /// where a blob is `None`) and await every ack. A worker that is
+    /// dead, or whose connection closes before it acks, is respawned
+    /// and sent its rollback at once rather than at the deadline.
     fn rollback_to(&mut self, cycle: u64, blobs: &[Option<Vec<u8>>]) -> Result<(), PartitionError> {
         let n = self.parts.parts();
-        self.generation += 1;
+        self.live.generation += 1;
+        let generation = self.live.generation;
+        let frames: Vec<Frame> = (blobs.iter())
+            .map(|blob| Frame::Rollback {
+                generation,
+                cycle,
+                snapshot: blob.clone().unwrap_or_default(),
+            })
+            .collect();
+        // Await one ack per worker under a liveness-scaled deadline,
+        // restarted by every respawn.
+        let ack_window = self.liveness_ticks.saturating_mul(4);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -1489,61 +1563,39 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                     detail: "rollback could not assemble a live fleet".into(),
                 });
             }
-            for w in 0..n {
-                if !self.alive[w] {
-                    self.respawn(w)?;
-                }
+            for (w, frame) in frames.iter().enumerate() {
+                self.send_rollback(w, frame)?;
             }
-            let generation = self.generation;
-            let mut send_failed = false;
-            for (w, blob) in blobs.iter().enumerate() {
-                let snapshot = blob.clone().unwrap_or_default();
-                let frame = Frame::Rollback { generation, cycle, snapshot };
-                if self.fleet.send(w, &frame).is_err() {
-                    self.alive[w] = false;
-                    send_failed = true;
-                }
-            }
-            if send_failed {
-                continue;
-            }
-            // Await one ack per worker under a liveness-scaled
-            // deadline (restore includes an engine rebuild on
-            // power-on resets).
-            let deadline = Deadline::after(
-                Arc::clone(&self.config.clock),
-                self.liveness_ticks.saturating_mul(4),
-            );
+            let mut deadline = Deadline::after(Arc::clone(&self.config.clock), ack_window);
             let mut acked = vec![false; n];
-            let mut acks = 0usize;
-            while acks < n && !deadline.expired() {
-                match self.events.recv_timeout(Duration::from_millis(10)) {
+            while acked.contains(&false) && !deadline.expired() {
+                match self.live.events.recv_timeout(Duration::from_millis(10)) {
                     Ok(Event::Frame { worker, conn, frame }) => {
-                        if self.conns[worker] != conn {
+                        if self.live.conns[worker] != conn {
                             continue;
                         }
                         self.last_seen[worker] = self.now();
+                        // Everything but this generation's ack is stale.
                         if let Frame::RollbackAck { generation: g, .. } = frame {
-                            if g == generation && !acked[worker] {
-                                acked[worker] = true;
-                                acks += 1;
-                            }
+                            acked[worker] |= g == generation;
                         }
-                        // Everything else mid-rollback is stale.
                     }
                     Ok(Event::Closed { worker, conn } | Event::Malformed { worker, conn }) => {
-                        if self.conns[worker] == conn {
-                            self.alive[worker] = false;
+                        if self.live.conns[worker] == conn {
+                            self.live.alive[worker] = false;
+                            acked[worker] = false;
+                            self.send_rollback(worker, &frames[worker])?;
+                            deadline = Deadline::after(Arc::clone(&self.config.clock), ack_window);
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            if acks == n {
+            if !acked.contains(&false) {
                 return Ok(());
             }
-            // Kill the non-ackers and go around (bounded by the
+            // Kill the silent ones and go around (bounded by the
             // attempt counter and the respawn budget).
             for (w, ok) in acked.iter().enumerate() {
                 if !ok {
@@ -1551,6 +1603,16 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                 }
             }
         }
+    }
+
+    /// Sends worker `w` its rollback frame, respawning it first (and
+    /// again, within the respawn budget) while it is dead or
+    /// unreachable.
+    fn send_rollback(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError> {
+        while !self.live.alive[w] || self.live.fleet.send(w, frame).is_err() {
+            self.respawn(w)?;
+        }
+        Ok(())
     }
 }
 
@@ -1873,6 +1935,129 @@ mod tests {
         for handle in handles {
             handle.join().unwrap().unwrap();
         }
+    }
+
+    /// A fleet whose workers answer a rollback at once, except that
+    /// worker `doomed`'s connection closes instead, once.
+    struct Scripted {
+        events: Option<Sender<Event>>,
+        conns: Vec<u64>,
+        spawns: Vec<u32>,
+        doomed: Option<usize>,
+    }
+
+    impl Fleet for Scripted {
+        fn spawn(
+            &mut self,
+            w: usize,
+            conn: u64,
+            events: &Sender<Event>,
+        ) -> Result<(), PartitionError> {
+            self.events = Some(events.clone());
+            self.conns[w] = conn;
+            self.spawns[w] += 1;
+            Ok(())
+        }
+
+        fn send(&mut self, w: usize, frame: &Frame) -> Result<(), PartitionError> {
+            let (Some(events), Frame::Rollback { generation, cycle, .. }) = (&self.events, frame)
+            else {
+                return Ok(());
+            };
+            let conn = self.conns[w];
+            let event = if self.doomed == Some(w) {
+                self.doomed = None;
+                Event::Closed { worker: w, conn }
+            } else {
+                let ack =
+                    Frame::RollbackAck { worker: w as u32, generation: *generation, cycle: *cycle };
+                Event::Frame { worker: w, conn, frame: ack }
+            };
+            events.send(event).map_err(|_| transport_err("supervisor gone"))
+        }
+
+        fn arm(&mut self, _w: usize, _chaos: LinkChaos) {}
+
+        fn kill(&mut self, _w: usize) {}
+    }
+
+    /// A worker whose connection closes before it acks a rollback is
+    /// respawned at once, not when the ack deadline (6 s here, as in
+    /// the thread runner's defaults) runs out. The rollback runs on its
+    /// own thread under a wall-clock bound, so a regression fails the
+    /// test instead of hanging it.
+    #[test]
+    fn rollback_respawns_a_worker_that_closes_before_acking() {
+        let (done_tx, done) = mpsc::channel();
+        let rollback = thread::spawn(move || {
+            let parts = partition(&pipeline(4), 2, &CutOptions::default()).unwrap();
+            let config =
+                ProcConfig { liveness: Duration::from_millis(1500), ..ProcConfig::default() };
+            let fleet =
+                Scripted { events: None, conns: vec![0; 2], spawns: vec![0; 2], doomed: Some(1) };
+            let mut live = LiveFleet::new(fleet, 2);
+            let chaos = ChaosPlan::default();
+            let mut supervisor = Supervisor::new(&parts, &mut live, &config, &chaos, None);
+            for w in 0..2 {
+                supervisor.spawn(w).unwrap();
+            }
+            let started = Instant::now();
+            let result = supervisor.rollback_to(0, &[None, None]).map_err(|e| e.to_string());
+            let (elapsed, respawns) = (started.elapsed(), supervisor.respawns);
+            let _ = done_tx.send((result, elapsed, respawns, live.fleet.spawns));
+        });
+        let (result, elapsed, respawns, spawns) =
+            done.recv_timeout(Duration::from_secs(3)).expect("the rollback outlasted its bound");
+        rollback.join().unwrap();
+        result.unwrap();
+        assert_eq!((spawns, respawns), (vec![1, 2], 1), "only the closed worker is respawned");
+        assert!(elapsed < Duration::from_secs(1), "rollback took {elapsed:?}");
+    }
+
+    /// Restoring the power-on snapshot undoes the cycles run and the
+    /// faults armed since: the worker then steps exactly like a freshly
+    /// built one.
+    fn power_on_restore_steps_like_a_fresh_engine<E: Engine>() {
+        use dwt_arch::designs::Design;
+        let netlist = Design::D3.build().unwrap().netlist;
+        let parts = partition(&netlist, 1, &CutOptions::default()).unwrap();
+        let spec = WorkerSpec::from_cut(&parts, 0).unwrap();
+        let config = WorkerConfig::default();
+        let registers: Vec<String> =
+            spec.netlist.registers().iter().map(|&r| spec.netlist.cell(r).name.clone()).collect();
+        let step = |worker: &mut ProcWorker<E>, cycle: i64| -> Vec<i64> {
+            for (k, port) in spec.inputs.iter().enumerate() {
+                let value = (cycle * (37 + 54 * k as i64) + 11) % 256 - 128;
+                worker.engine.set_input(port, value).unwrap();
+            }
+            worker.engine.try_tick().unwrap();
+            spec.outputs.iter().map(|p| worker.engine.peek(p).unwrap()).collect()
+        };
+        let mut worker = ProcWorker::<E>::new(&spec, &config).unwrap();
+        let stuck = FaultSpec::StuckAt { net: registers[0].clone(), bit: 0, value: true };
+        let pending = FaultSpec::BitFlip { register: registers[1].clone(), bit: 0, cycle: 100 };
+        worker.engine.inject(&stuck).unwrap();
+        worker.engine.inject(&pending).unwrap();
+        for cycle in 0..40 {
+            step(&mut worker, cycle);
+        }
+        worker.apply_rollback(1, &[]).unwrap();
+        let mut fresh = ProcWorker::<E>::new(&spec, &config).unwrap();
+        let state = |w: &ProcWorker<E>| w.engine.snapshot().to_bytes();
+        assert_eq!(state(&worker), state(&fresh), "restored state differs from power-on");
+        for cycle in 0..160 {
+            assert_eq!(step(&mut worker, cycle), step(&mut fresh, cycle), "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn power_on_restore_steps_like_a_fresh_engine_event() {
+        power_on_restore_steps_like_a_fresh_engine::<Simulator>();
+    }
+
+    #[test]
+    fn power_on_restore_steps_like_a_fresh_engine_compiled() {
+        power_on_restore_steps_like_a_fresh_engine::<dwt_rtl::compile::CompiledEngine>();
     }
 
     #[test]

@@ -14,10 +14,22 @@
 //! a single full-netlist engine, and finally to a caller-supplied
 //! software-golden fallback — availability failures never become
 //! correctness failures.
+//!
+//! The shard threads live as long as the runner, as a pipeline keeps
+//! its hardware between images and only takes a reset. The first frame
+//! spawns them and builds their engines; every later frame starts with
+//! a power-on rollback, which each worker serves by restoring the
+//! snapshot it took of its engine as built. The rollback generation
+//! keeps rising from frame to frame, so a value left in flight by an
+//! earlier frame is dropped by its tag. A frame that leaves the
+//! partitioned rung tears its fleet down, and the next one spawns a
+//! fresh fleet. Concurrent frames on one runner take turns.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -30,7 +42,7 @@ use dwt_rtl::netlist::{Netlist, PortDirection};
 use crate::cut::PartitionedNetlist;
 use crate::error::PartitionError;
 use crate::proc::{
-    out_routes, run_worker, Fleet, ProcConfig, Supervisor, WorkerConfig, WorkerSpec,
+    out_routes, run_worker, Fleet, LiveFleet, ProcConfig, Supervisor, WorkerConfig, WorkerSpec,
 };
 use crate::transport::{Event, LinkChaos, ThreadLink};
 use crate::wire::Frame;
@@ -170,8 +182,8 @@ pub struct RunnerConfig {
     /// replays and more snapshot overhead.
     pub snapshot_interval: u64,
     /// How long a worker waits on a boundary receive before declaring
-    /// the producer a straggler, and how long after a batch's first
-    /// barrier report the supervisor waits for the rest.
+    /// the producer a straggler, and how long the supervisor lets a
+    /// worker go without progress before doing the same.
     pub watchdog: Duration,
     /// Rollback-and-replay budget per frame before degrading to the
     /// single-engine rung.
@@ -230,11 +242,26 @@ struct Threads<E> {
     /// predecessor's, so its producers need no rewiring.
     idle: Vec<Option<Receiver<Vec<u8>>>>,
     arming: Vec<Arc<Mutex<LinkChaos>>>,
+    /// Each worker's heartbeat count, from its current link.
+    progress: Vec<Arc<AtomicU64>>,
     threads: Vec<Option<JoinHandle<Receiver<Vec<u8>>>>>,
     _engine: PhantomData<fn() -> E>,
 }
 
 impl<E> Threads<E> {
+    /// A thread cannot be killed from outside: it is told to shut down,
+    /// which an idle or waiting worker does at once and a stalled one
+    /// as soon as it next receives.
+    fn stop(&mut self, w: usize) {
+        if let Some(handle) = self.threads[w].take() {
+            let _ = self.inboxes[w].send(Frame::Shutdown.encode());
+            if let Ok(inbox) = handle.join() {
+                while inbox.try_recv().is_ok() {}
+                self.idle[w] = Some(inbox);
+            }
+        }
+    }
+
     fn new(parts: &PartitionedNetlist, specs: &[Arc<WorkerSpec>], config: WorkerConfig) -> Self {
         let n = parts.parts();
         let (inboxes, idle) =
@@ -246,6 +273,7 @@ impl<E> Threads<E> {
             inboxes,
             idle,
             arming: (0..n).map(|_| Arc::default()).collect(),
+            progress: (0..n).map(|_| Arc::default()).collect(),
             threads: (0..n).map(|_| None).collect(),
             _engine: PhantomData,
         }
@@ -266,6 +294,7 @@ impl<E: Engine + 'static> Fleet for Threads<E> {
             routes.collect(),
             Arc::clone(&self.arming[w]),
         );
+        self.progress[w] = link.progress();
         let (spec, config) = (Arc::clone(&self.specs[w]), self.config.clone());
         let handle = thread::Builder::new()
             .name(format!("dwt-partition-{w}"))
@@ -294,26 +323,24 @@ impl<E: Engine + 'static> Fleet for Threads<E> {
         Some(self.config.exchange_timeout)
     }
 
+    fn progress(&self, w: usize) -> u64 {
+        self.progress[w].load(Ordering::Relaxed)
+    }
+
     fn arm(&mut self, w: usize, chaos: LinkChaos) {
         *self.arming[w].lock().unwrap_or_else(PoisonError::into_inner) = chaos;
     }
 
-    /// A thread cannot be killed from outside: it is told to shut down,
-    /// which an idle or waiting worker does at once and a stalled one
-    /// as soon as it next receives.
     fn kill(&mut self, w: usize) {
-        if let Some(handle) = self.threads[w].take() {
-            let _ = self.send(w, &Frame::Shutdown);
-            if let Ok(inbox) = handle.join() {
-                while inbox.try_recv().is_ok() {}
-                self.idle[w] = Some(inbox);
-            }
-        }
+        self.stop(w);
     }
+}
 
-    fn shutdown(&mut self) {
+impl<E> Drop for Threads<E> {
+    /// Shuts every shard thread down and joins it.
+    fn drop(&mut self) {
         for w in 0..self.threads.len() {
-            self.kill(w);
+            self.stop(w);
         }
     }
 }
@@ -321,12 +348,20 @@ impl<E: Engine + 'static> Fleet for Threads<E> {
 /// Runs a partitioned netlist across one OS thread per shard, with
 /// barrier snapshots, divergence detection and rollback-replay
 /// recovery, under the same supervisor as process isolation.
+///
+/// The shard threads live as long as the runner: its first frame
+/// spawns them and builds their engines, and every later frame resets
+/// them to power-on. Concurrent [`run_frame`](Self::run_frame) calls
+/// take turns on the one fleet. Dropping the runner shuts every shard
+/// thread down and joins it.
 pub struct PartitionRunner<'a, E: Engine> {
     parts: &'a PartitionedNetlist,
-    config: RunnerConfig,
     /// Each shard's worker view, built once for every frame.
     specs: Vec<Arc<WorkerSpec>>,
-    _engine: PhantomData<E>,
+    settings: ProcConfig,
+    worker: WorkerConfig,
+    /// The shard threads, once the first frame has spawned them.
+    live: Mutex<Option<LiveFleet<Threads<E>>>>,
 }
 
 impl<'a, E> PartitionRunner<'a, E>
@@ -334,13 +369,38 @@ where
     E: Engine + Send + 'static,
     E::Snapshot: Clone + Send + 'static,
 {
-    /// Creates a runner over an existing partition.
+    /// Creates a runner over an existing partition. No thread starts
+    /// before the first frame.
     #[must_use]
     pub fn new(parts: &'a PartitionedNetlist, config: RunnerConfig) -> Self {
         let specs = (0..parts.parts())
             .filter_map(|w| WorkerSpec::from_cut(parts, w).ok().map(Arc::new))
             .collect();
-        PartitionRunner { parts, config, specs, _engine: PhantomData }
+        let budget = config.batch_budget.unwrap_or_else(|| {
+            let wall = config.watchdog * 4 + Duration::from_millis(500);
+            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
+        });
+        let workers = u32::try_from(parts.parts()).unwrap_or(u32::MAX);
+        let settings = ProcConfig {
+            snapshot_interval: config.snapshot_interval,
+            // No heartbeat reaches the supervisor from a thread, so a
+            // worker's silence window is the batch-collection budget.
+            liveness: Duration::from_nanos(budget),
+            // Every recovery may respawn every worker.
+            max_respawns: workers.saturating_mul(config.max_recoveries.saturating_add(1)),
+            max_recoveries: config.max_recoveries,
+            clock: config.clock,
+            ..ProcConfig::default()
+        };
+        let worker = WorkerConfig {
+            // An idle shard thread waits for the next frame however
+            // long it takes; shutdown ends it.
+            idle_timeout: None,
+            exchange_timeout: config.watchdog,
+            event_cap: config.event_cap,
+            ..WorkerConfig::default()
+        };
+        PartitionRunner { parts, specs, settings, worker, live: Mutex::new(None) }
     }
 
     /// Runs one frame to completion.
@@ -363,33 +423,16 @@ where
         golden: Option<GoldenFallback<'_>>,
     ) -> Result<FrameReport, PartitionError> {
         check_stimulus(self.parts, stim)?;
-        let config = &self.config;
-        let budget = config.batch_budget.unwrap_or_else(|| {
-            let wall = config.watchdog * 4 + Duration::from_millis(500);
-            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
+        // A frame that panicked may have left the fleet mid-batch. The
+        // next frame's power-on rollback, under a new generation, makes
+        // any such state valid again, so the guard is safe to reuse.
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        let fleet = live.get_or_insert_with(|| {
+            let threads = Threads::new(self.parts, &self.specs, self.worker.clone());
+            LiveFleet::new(threads, self.parts.parts())
         });
-        let workers = u32::try_from(self.parts.parts()).unwrap_or(u32::MAX);
-        let settings = ProcConfig {
-            snapshot_interval: config.snapshot_interval,
-            // No heartbeat reaches the supervisor from a thread, so a
-            // worker's silence window is the batch-collection budget.
-            liveness: Duration::from_nanos(budget),
-            // Every recovery may respawn every worker.
-            max_respawns: workers.saturating_mul(config.max_recoveries.saturating_add(1)),
-            max_recoveries: config.max_recoveries,
-            clock: Arc::clone(&config.clock),
-            ..ProcConfig::default()
-        };
-        let worker = WorkerConfig {
-            exchange_timeout: config.watchdog,
-            event_cap: config.event_cap,
-            ..WorkerConfig::default()
-        };
-        let fleet = Threads::<E>::new(self.parts, &self.specs, worker);
-        let mut supervisor = Supervisor::new(self.parts, fleet, &settings, chaos, oracle);
-        let result = supervisor.run(stim);
-        supervisor.fleet.shutdown();
-        if let Ok(report) = result {
+        let mut supervisor = Supervisor::new(self.parts, fleet, &self.settings, chaos, oracle);
+        if let Ok(report) = supervisor.run(stim) {
             return Ok(FrameReport {
                 outputs: report.outputs,
                 rung: Rung::Partitioned,
@@ -405,11 +448,15 @@ where
             outputs: FrameOutputs::default(),
             rung: Rung::SingleEngine,
             recoveries: supervisor.recoveries,
-            detections: std::mem::take(&mut supervisor.detections),
+            detections: mem::take(&mut supervisor.detections),
             barriers: 0,
             replayed_cycles: supervisor.replayed,
         };
-        match run_single::<E>(&self.parts.original, stim, config.event_cap) {
+        // The fleet that failed goes, joining its threads, so the next
+        // frame starts on a fresh one.
+        *live = None;
+        drop(live);
+        match run_single::<E>(&self.parts.original, stim, self.worker.event_cap) {
             Ok(outputs) => report.outputs = outputs,
             Err(e) => {
                 report.detections.push(Detection {

@@ -2,7 +2,7 @@
 //! its workers.
 //!
 //! The protocol layer ([`wire`](crate::wire)) defines *what* travels;
-//! this module defines *how*. Three implementations share the
+//! this module defines *how*. Two implementations share the
 //! [`Transport`] trait:
 //!
 //! * [`SocketTransport`] — a Unix-domain stream socket to a worker
@@ -15,27 +15,30 @@
 //!   Boundary frames go straight from producer to consumer over
 //!   in-process channels, with the link index rewritten to the
 //!   consumer's numbering; every other frame goes to the supervisor.
-//!   Heartbeats stay in the link, so nothing reaches the supervisor
-//!   between a batch and its barrier report. Measured on one pinned
-//!   CPU, a bare `mpsc` hand-off costs 4.5 µs per cycle worker to
-//!   worker, 10.8 µs through a relay thread and 12.5 µs through a
-//!   relay with a heartbeat per cycle, against about 19.5 µs for a
-//!   whole two-shard Design 5 cycle: routing through a hub would cost
-//!   about a quarter of the throughput. Boundary values still travel
-//!   as encoded bytes, so every thread-mode run exercises the codec.
-//! * [`ChannelTransport`] — a plain pair of in-process channels
-//!   carrying encoded frames, for driving [`run_worker`] by hand in
-//!   tests.
+//!   Heartbeats stay in the link, which only counts them, so nothing
+//!   reaches the supervisor between a batch and its barrier report.
+//!   Measured on one pinned CPU, a bare `mpsc` hand-off costs 4.5 µs
+//!   per cycle worker to worker, 10.8 µs through a relay thread and
+//!   12.5 µs through a relay with a heartbeat per cycle, against about
+//!   19.5 µs for a whole two-shard Design 5 cycle: routing through a
+//!   hub would cost about a quarter of the throughput. Boundary values
+//!   still travel as encoded bytes, so every thread-mode run exercises
+//!   the codec.
+//!
+//! Unit tests drive [`run_worker`](crate::proc::run_worker) by hand
+//! over a third, test-only transport: a plain pair of in-process
+//! channels.
 //!
 //! Both ends treat malformed bytes as a protocol fault, not a crash:
 //! [`RecvError::Protocol`] carries the typed decode error upward where
 //! the supervisor converts it into a detection and a rollback.
-//!
-//! [`run_worker`]: crate::proc::run_worker
 
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(test)]
+use std::sync::mpsc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -73,7 +76,9 @@ pub trait Transport: Send {
     /// [`PartitionError::Transport`] when the peer is unreachable.
     fn send(&mut self, frame: &Frame) -> Result<(), PartitionError>;
 
-    /// Receives the next frame, waiting at most `timeout`.
+    /// Receives the next frame, waiting at most `timeout`. A timeout
+    /// too long to form a deadline, such as `Duration::MAX`, waits
+    /// without one.
     ///
     /// # Errors
     ///
@@ -85,24 +90,27 @@ pub trait Transport: Send {
 
 // ------------------------------------------------------------ channels
 
-/// In-process transport: encoded frame bytes over `mpsc` channels.
+/// In-process transport for tests: encoded frame bytes over `mpsc`
+/// channels.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ChannelTransport {
+pub(crate) struct ChannelTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
 }
 
+#[cfg(test)]
 impl ChannelTransport {
     /// A connected pair of endpoints (full duplex: two crossed
     /// channels).
-    #[must_use]
-    pub fn pair() -> (ChannelTransport, ChannelTransport) {
+    pub(crate) fn pair() -> (ChannelTransport, ChannelTransport) {
         let (a_tx, b_rx) = mpsc::channel();
         let (b_tx, a_rx) = mpsc::channel();
         (ChannelTransport { tx: a_tx, rx: a_rx }, ChannelTransport { tx: b_tx, rx: b_rx })
     }
 }
 
+#[cfg(test)]
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &Frame) -> Result<(), PartitionError> {
         self.tx
@@ -166,6 +174,8 @@ pub(crate) struct ThreadLink {
     /// Where the supervisor arms chaos for the next batch.
     arming: Arc<Mutex<LinkChaos>>,
     armed: LinkChaos,
+    /// Heartbeats sent: the worker's sign of life to the supervisor.
+    progress: Arc<AtomicU64>,
 }
 
 impl ThreadLink {
@@ -177,7 +187,21 @@ impl ThreadLink {
         routes: Vec<(Sender<Vec<u8>>, u32)>,
         arming: Arc<Mutex<LinkChaos>>,
     ) -> ThreadLink {
-        ThreadLink { worker, conn, inbox, supervisor, routes, arming, armed: LinkChaos::default() }
+        ThreadLink {
+            worker,
+            conn,
+            inbox,
+            supervisor,
+            routes,
+            arming,
+            armed: LinkChaos::default(),
+            progress: Arc::default(),
+        }
+    }
+
+    /// The count of heartbeats this link has sent, shared.
+    pub(crate) fn progress(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.progress)
     }
 
     /// Tells the supervisor the worker is gone and hands back the
@@ -212,13 +236,16 @@ impl Transport for ThreadLink {
                 let routed = Frame::Boundary { generation: *generation, link: *in_link, msg };
                 inbox.send(routed.encode()).map_err(|_| gone())
             }
-            // The batch deadline, not heartbeats, polices a thread; a
-            // heartbeat is only where an armed kill strikes.
+            // A heartbeat only counts progress, and is where an armed
+            // kill strikes.
             Frame::Heartbeat { cycle, .. } => match self.armed.kill_at {
                 Some(kill) if *cycle >= kill => {
                     Err(PartitionError::Transport { detail: format!("killed at cycle {kill}") })
                 }
-                _ => Ok(()),
+                _ => {
+                    self.progress.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }
             },
             other => self
                 .supervisor
@@ -290,7 +317,7 @@ impl Transport for SocketTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, RecvError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             // Header validation errors (bad magic, absurd length) are
             // unrecoverable for a byte stream — framing is lost.
@@ -301,11 +328,11 @@ impl Transport for SocketTransport {
                 }
                 None => {
                     let now = Instant::now();
-                    if now >= deadline {
+                    if deadline.is_some_and(|d| now >= d) {
                         return Err(RecvError::Timeout);
                     }
                     // Never Some(0): that disables the timeout.
-                    let _ = self.stream.set_read_timeout(Some(deadline - now));
+                    let _ = self.stream.set_read_timeout(deadline.map(|d| d - now));
                     let mut chunk = [0u8; 4096];
                     match self.stream.read(&mut chunk) {
                         Ok(0) => return Err(RecvError::Disconnected),
